@@ -1,8 +1,8 @@
 """Command line interface: grpinv <ic|sigma|sigmac|lattice|embeds|verify>.
 
 Results go to stdout (text or one JSON document per invocation), errors to
-stderr.  Exit codes: 0 success, 1 parse/usage error, 2 budget or order-limit
-exhaustion, 3 verification failure.
+stderr.  Exit codes: 0 success, 1 parse/usage error or failed internal
+re-check, 2 budget or order-limit exhaustion, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -356,12 +356,22 @@ class _UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p, n_specs: int):
     p.add_argument("spec", nargs=n_specs if n_specs > 1 else None)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.add_argument("--certificate", action="store_true", help="include the certificate")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                    help="solver node budget")
 
 
@@ -376,13 +386,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maximal", action="store_true")
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER)
     p = sub.add_parser("embeds")
     _add_common(p, 2)
     p = sub.add_parser("verify")
     p.add_argument("--suite", default="", help="comma-separated suite names")
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-order", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     return parser
 

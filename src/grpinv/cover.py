@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, TooManySets
+from .errors import BudgetExceeded, CheckFailed, TooManySets
 from .groups import INFINITE, ExtNat, finite
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -149,7 +149,8 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
         return None
 
     certificate = lex_least(0, 0, optimum)
-    assert certificate is not None
+    if certificate is None:
+        raise CheckFailed(f"no cover of the optimal size {optimum} in the lexicographic pass")
     return CoverSolution(finite(optimum), tuple(certificate))
 
 

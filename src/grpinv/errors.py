@@ -17,6 +17,10 @@ class BudgetExceeded(GrpinvError):
     """A search or enumeration exceeded its configured budget."""
 
 
+class CheckFailed(GrpinvError):
+    """An independent re-check rejected a result this package computed."""
+
+
 class TooManySets(GrpinvError):
     """Inclusion-exclusion was asked for more sets than the 2^k limit allows."""
 

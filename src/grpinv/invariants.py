@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import DEFAULT_NODE_BUDGET, make_instance, min_cover, validate_cover
-from .errors import InvalidPartition
+from .errors import CheckFailed, InvalidPartition
 from .groups import (
     INFINITE,
     Cyclic,
@@ -75,7 +75,8 @@ def _solve(kind, g, target, universe, candidates, entries, node_budget):
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:
         return InvariantReport(kind, g, target, INFINITE, None, "no_cover")
-    assert validate_cover(inst, sol)
+    if not validate_cover(inst, sol):
+        raise CheckFailed(f"{kind} cover of {g.label} failed re-validation")
     cert = tuple(entries[inst.kept[i]] for i in sol.certificate)
     return InvariantReport(kind, g, target, sol.value, cert)
 
@@ -126,7 +127,8 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
         return InvariantReport(
             "ic", g, h, INFINITE, None, "spectrum_gap", missing_order(g, h)
         )
-    assert not g.is_cyclic  # cyclic + dominated spectrum would have embedded
+    if g.is_cyclic:  # cyclic + dominated spectrum would have embedded
+        raise CheckFailed(f"cyclic {g.label} has the spectrum of {h.label} but did not embed")
     lat = all_subgroups(g)
     admissible: list[tuple[Subgroup, tuple[int, ...]]] = []
     for s in reversed(lat.all):
@@ -159,7 +161,8 @@ def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
     if report.kind != "ic" or not report.value.is_finite or report.value.value <= 1:
         raise ValueError("expects a finite ic certificate of size > 1")
     g, h = report.group, report.target
-    assert report.certificate is not None and h is not None
+    if report.certificate is None or h is None:
+        raise ValueError("expects a certificate and a target group")
     subs = [e.subgroup for e in report.certificate]
     full = (1 << g.order) - 1
     for i in range(len(subs)):

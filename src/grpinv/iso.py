@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
+from .errors import CheckFailed
 from .groups import FiniteGroup
 from .lattice import all_subgroups, as_group, closure, cyclic_subgroups
 
@@ -125,7 +126,8 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
         return None
 
     witness = dfs(0, *start)
-    assert witness is None or is_embedding(g, h, witness)
+    if witness is not None and not is_embedding(g, h, witness):
+        raise CheckFailed(f"isomorphism {g.label} -> {h.label} failed re-validation")
     return witness
 
 
@@ -169,6 +171,7 @@ def embeds(k: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
         w = are_isomorphic(k, sub)
         if w is not None:
             witness = tuple(elems[w[i]] for i in range(k.order))
-            assert is_embedding(k, h, witness)
+            if not is_embedding(k, h, witness):
+                raise CheckFailed(f"embedding {k.label} -> {h.label} failed re-validation")
             return witness
     return None

@@ -3,6 +3,13 @@
 Subgroups are stored as bitmasks over the parent group's element indices;
 the canonical order everywhere is (order, mask ascending), which keeps
 certificates and JSON output stable across runs.
+
+Every join goes through one kernel, `_join`: the join of a subgroup S with
+<c> is the union of the right cosets S*r it contains, and S*r*t = S*(r*t),
+so only coset representatives are multiplied by the generators of S and c.
+The lattice keeps a generating list per subgroup for this; each list has at
+most log2|G| entries, because every join that adds an element at least
+doubles the order.
 """
 
 from __future__ import annotations
@@ -66,26 +73,40 @@ class SubgroupLattice:
         return tuple(self.all[i] for i in self.maximal_cyclic)
 
 
-def _closure_members(table, seed) -> set[int]:
-    # Every popped element is multiplied (both ways) with everything present
-    # at pop time; later arrivals pick up the missing pairs when they pop.
-    elems = set(seed)
-    elems.add(0)
-    queue = list(elems)
-    while queue:
-        a = queue.pop()
-        row = table[a]
-        for b in list(elems):
-            for c in (row[b], table[b][a]):
-                if c not in elems:
-                    elems.add(c)
-                    queue.append(c)
-    return elems
+def _join(table, members, mask, gens, new):
+    """Members, mask and generators of <S, new>, for the subgroup S given by
+    its members, mask and generating list.
+
+    The result is built as a union of right cosets S*r, starting from S
+    itself: each representative r is multiplied by every generator t, and a
+    product outside the union so far opens the fresh coset S*(r*t).  Costs
+    |J| + (|J|/|S|)*len(gens) table lookups for the join J.
+    """
+    if mask >> new & 1:
+        return members, mask, gens
+    gens = [*gens, new]
+    elems = list(members)
+    reps = [0]
+    for r in reps:
+        row = table[r]
+        for t in gens:
+            x = row[t]
+            if not mask >> x & 1:
+                reps.append(x)
+                for a in members:
+                    e = table[a][x]
+                    elems.append(e)
+                    mask |= 1 << e
+    return elems, mask, gens
 
 
 def closure(g: FiniteGroup, seed) -> Subgroup:
-    """Least subgroup containing the seed elements."""
-    return make_subgroup(g, _closure_members(g.table, seed))
+    """Least subgroup containing the seed elements: `_join` folded over
+    them from the trivial group."""
+    members, mask, gens = [0], 1, []
+    for a in seed:
+        members, mask, gens = _join(g.table, members, mask, gens, a)
+    return make_subgroup(g, members)
 
 
 def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -115,23 +136,6 @@ def maximal_filter(subgroups, restrict_to_cyclic: bool = False) -> list[Subgroup
     return kept
 
 
-def _join_members(table, s_members, c_members):
-    # s_members is already a subgroup, so only products touching a new
-    # element need closing; the worklist is seeded with those alone.
-    elems = set(s_members)
-    queue = [b for b in c_members if b not in elems]
-    elems.update(queue)
-    while queue:
-        a = queue.pop()
-        row = table[a]
-        for b in list(elems):
-            for c in (row[b], table[b][a]):
-                if c not in elems:
-                    elems.add(c)
-                    queue.append(c)
-    return elems
-
-
 @lru_cache(maxsize=None)
 def all_subgroups(
     g: FiniteGroup, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
@@ -140,15 +144,22 @@ def all_subgroups(
 
     Every subgroup is a join of cyclic subgroups, so saturating joins of
     known subgroups with cyclic atoms reaches all of them without the 2^|G|
-    subset scan.  In the abelian case the join is just the product set,
-    which matters for the elementary abelian lattices (C2^7 already has
-    about 29k subgroups).
+    subset scan.  Each subgroup keeps the generating list it was first
+    reached by: one generator per cyclic atom adjoined on the way.  A join
+    that finds a new subgroup at least doubles the order, so no list exceeds
+    log2|G| entries, and `_join` closes S v <c> as a union of right cosets
+    of S in about |S v <c>| table lookups.
     """
     table = g.table
-    abelian = g.is_abelian
     cyclics = cyclic_subgroups(g)
-    atom_data = [(c.mask, c.sorted_members) for c in cyclics if c.order > 1]
+    atoms = [
+        (c.mask, next(a for a in c.members if g.elem_order[a] == c.order))
+        for c in cyclics
+        if c.order > 1
+    ]
     known: dict[int, Subgroup] = {c.mask: c for c in cyclics}
+    gens: dict[int, list[int]] = {mask: [a] for mask, a in atoms}
+    gens[1] = []
     frontier = list(cyclics)
     full_mask = (1 << g.order) - 1
     while frontier:
@@ -157,29 +168,17 @@ def all_subgroups(
             smask = s.mask
             if smask == full_mask:
                 continue
-            smembers = s.sorted_members
-            for cmask, cmembers in atom_data:
+            smembers = s.members
+            sgens = gens[smask]
+            for cmask, c in atoms:
                 if cmask & ~smask == 0:
                     continue
-                if abelian:
-                    members = set(smembers)
-                    mask = smask
-                    for a in smembers:
-                        row = table[a]
-                        for b in cmembers:
-                            e = row[b]
-                            if e not in members:
-                                members.add(e)
-                                mask |= 1 << e
-                else:
-                    members = _join_members(table, smembers, cmembers)
-                    mask = 0
-                    for e in members:
-                        mask |= 1 << e
+                members, mask, jgens = _join(table, smembers, smask, sgens, c)
                 if mask in known:
                     continue
                 sub = make_subgroup(g, members)
                 known[mask] = sub
+                gens[mask] = jgens
                 fresh.append(sub)
                 if len(known) > max_subgroups:
                     raise BudgetExceeded(

@@ -118,6 +118,26 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sigma", "D4", "--max-order", "-5"),
+        ("sigma", "D4", "--max-order", "0"),
+        ("sigma", "D4", "--budget", "0"),
+        ("sigma", "D4", "--budget", "-1"),
+        ("ic", "C2^2", "C2", "--budget", "0"),
+        ("embeds", "C2", "Q8", "--max-order", "0"),
+        ("lattice", "C2^2", "--max-order", "-5"),
+        ("verify", "--suite", "examples", "--budget", "0"),
+        ("verify", "--suite", "examples", "--max-order", "0"),
+    ],
+)
+def test_non_positive_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+
+
 def test_max_order_flag(capsys):
     code, out, _ = run(capsys, "sigma", "C200", "--max-order", "256")
     assert code == 0 and out.strip() == "infinite (cyclic group)"

@@ -1,8 +1,11 @@
-"""Subgroup enumeration against brute-force subset filtering."""
+"""Subgroup enumeration against brute-force subset filtering, closed-form
+subgroup counts, and a naive closure."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpinv.errors import BudgetExceeded
 from grpinv.groups import (
@@ -10,6 +13,7 @@ from grpinv.groups import (
     Cyclic,
     Dihedral,
     GeneralizedQuaternion,
+    PermGroup,
     Power,
     Product,
     SemidirectPQ,
@@ -26,6 +30,10 @@ from grpinv.lattice import (
     maximal_filter,
     totient_cover_bound,
 )
+
+S4 = PermGroup((((1, 2, 3, 4),), ((1, 2),)), 4)
+A5 = PermGroup((((1, 2, 3),), ((3, 4, 5),)), 5)
+S5 = PermGroup((((1, 2, 3, 4, 5),), ((1, 2),)), 5)
 
 
 def brute_force_subgroup_masks(g):
@@ -86,8 +94,71 @@ def test_lattice_matches_brute_force(spec):
     assert {s.mask for s in lat.all} == brute_force_subgroup_masks(g)
 
 
+def naive_closure_members(table, seed):
+    """Fixpoint closure: every popped element is multiplied (both ways) with
+    everything present at pop time; later arrivals pick up the missing pairs
+    when they pop."""
+    elems = set(seed)
+    elems.add(0)
+    queue = list(elems)
+    while queue:
+        a = queue.pop()
+        row = table[a]
+        for b in list(elems):
+            for c in (row[b], table[b][a]):
+                if c not in elems:
+                    elems.add(c)
+                    queue.append(c)
+    return elems
+
+
+def divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def divisor_sum(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize(
+    "spec,count",
+    [
+        (S4, 30),
+        (A5, 59),
+        (S5, 156),
+        # D_n has tau(n) rotation subgroups and sigma(n) others
+        *((Dihedral(n), divisor_count(n) + divisor_sum(n)) for n in (12, 24, 48)),
+    ],
+    ids=["S4", "A5", "S5", "D12", "D24", "D48"],
+)
+def test_subgroup_counts_match_closed_forms(spec, count):
+    assert len(all_subgroups(build(spec)).all) == count
+
+
+CLOSURE_GROUPS = tuple(
+    build(spec)
+    for spec in (Dihedral(6), GeneralizedQuaternion(16), S4, Power(Cyclic(2), 4))
+)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_closure_matches_naive_fixpoint(data):
+    g = data.draw(st.sampled_from(CLOSURE_GROUPS))
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    expected = make_subgroup(g, naive_closure_members(g.table, seed))
+    assert closure(g, seed) == expected
+
+
 def test_every_subgroup_is_closed_independently():
-    for spec in (Dihedral(6), GeneralizedQuaternion(16), Power(Cyclic(3), 2)):
+    specs = (
+        Dihedral(6),
+        GeneralizedQuaternion(16),
+        Power(Cyclic(3), 2),
+        S4,
+        Product(Dihedral(5), Power(Cyclic(2), 2)),
+    )
+    for spec in specs:
         g = build(spec)
         for s in all_subgroups(g).all:
             assert 0 in s.members
