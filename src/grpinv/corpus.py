@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import invariants as inv
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, CheckFailed
 from .cover import DEFAULT_NODE_BUDGET
 from .groups import (
     Cyclic,
@@ -266,6 +266,8 @@ def _run(suite: str, name: str, fn) -> CheckResult:
         ok, detail = fn()
     except BudgetExceeded as exc:
         return CheckResult(suite, name, "skip", str(exc), time.perf_counter() - start)
+    except CheckFailed as exc:
+        return CheckResult(suite, name, "fail", str(exc), time.perf_counter() - start)
     status = "pass" if ok else "fail"
     return CheckResult(suite, name, status, detail, time.perf_counter() - start)
 

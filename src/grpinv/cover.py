@@ -1,18 +1,28 @@
 """Exact minimum set cover with deterministic certificates.
 
-Two phases: branch-and-bound (greedy upper bound, branch on the uncovered
-point with fewest covering candidates, prune with ceil(uncovered/max-size))
-pins the optimal value; a lexicographic DFS then extracts the
-lexicographically least certificate of that size.  Both phases share one
-node budget, and a non-optimal answer is never returned: running out of
-budget raises instead.
+One kernel, `coverable(uncovered, r, allowed)`, finds a cover of the
+uncovered points by at most r candidates drawn from the bitset `allowed`,
+or reports that there is none.  It branches on the uncovered point with the
+fewest allowed candidates (per-point bitsets over candidate indices),
+prunes with the counting bound |uncovered| <= r * max-size, tries only
+candidates that add enough new points for the rest to fit, and drops a
+candidate from `allowed` once the branch through it has failed.
+
+`min_cover` uses it twice.  The value: start from the greedy cover's size
+and lower it while a smaller cover exists.  The certificate: fix one member
+at a time, the smallest index after the previous member whose remainder is
+still coverable by later candidates, which yields the lexicographically
+least optimal cover.  The last cover the kernel found is such a remainder,
+so its lowest member is accepted without another search.  Every kernel
+call spends one node of a single budget; running out raises
+`BudgetExceeded` with the bounds reached, never a non-optimal answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CheckFailed, TooManySets
+from .errors import BudgetExceeded, CheckFailed
 from .groups import INFINITE, ExtNat, finite
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -78,79 +88,119 @@ class _Budget:
             raise BudgetExceeded("cover search exceeded node budget")
 
 
+def _bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverSolution:
     if not inst.feasible:
         return CoverSolution(INFINITE, None)
     masks = inst.masks
     n = len(masks)
     full = (1 << inst.universe_size) - 1
+    everything = (1 << n) - 1
     budget = _Budget(node_budget)
+    max_size = max(m.bit_count() for m in masks)
+    lower = -(-inst.universe_size // max_size)
 
-    def popcount(x: int) -> int:
-        return x.bit_count()
+    # point_bits[p]: bitset of the candidate indices that contain point p
+    point_bits = [0] * inst.universe_size
+    for i, m in enumerate(masks):
+        for p in _bits(m):
+            point_bits[p] |= 1 << i
 
-    max_size = max(popcount(m) for m in masks)
+    def coverable(uncovered: int, r: int, allowed: int) -> int | None:
+        """A bitset of at most r candidates in `allowed` that covers
+        `uncovered`, or None if there is none."""
+        budget.spend()
+        if not uncovered:
+            return 0
+        size = uncovered.bit_count()
+        if size > r * max_size:
+            return None
+        if r == 1:
+            for p in _bits(uncovered):
+                allowed &= point_bits[p]
+            return allowed & -allowed or None
+        # branch on the uncovered point with the fewest allowed candidates
+        # (the bit loops are inlined: they are the search's inner loops)
+        branch = 0
+        fewest = n + 1
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cands = point_bits[low.bit_length() - 1] & allowed
+            k = cands.bit_count()
+            if k < fewest:
+                if not k:
+                    return None
+                branch, fewest = cands, k
+        # a member of an r-cover covers what the other r-1 cannot
+        need = size - (r - 1) * max_size
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            m = masks[low.bit_length() - 1]
+            if (m & uncovered).bit_count() >= need:
+                found = coverable(uncovered & ~m, r - 1, allowed)
+                if found is not None:
+                    return found | low
+                allowed ^= low  # no cover through this candidate is left
+        return None
 
     # greedy upper bound (most new points, ties to the lowest index)
     covered = 0
-    greedy: list[int] = []
+    optimum = 0
     while covered != full:
-        best = max(range(n), key=lambda i: (popcount(masks[i] & ~covered), -i))
-        greedy.append(best)
+        best = max(range(n), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
+        optimum += 1
         covered |= masks[best]
-    best_size = len(greedy)
 
-    point_cands = [
-        tuple(i for i in range(n) if masks[i] >> p & 1)
-        for p in range(inst.universe_size)
-    ]
+    witness = 0  # the last cover the kernel found, once there is one
+    try:
+        while optimum > 1:
+            smaller = coverable(full, optimum - 1, everything)
+            if smaller is None:
+                break
+            witness, optimum = smaller, smaller.bit_count()
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{exc}: optimum in [{lower}, {optimum}]") from None
 
-    def branch(covered: int, chosen: int):
-        nonlocal best_size
-        budget.spend()
-        if covered == full:
-            best_size = min(best_size, chosen)
-            return
-        uncovered = full & ~covered
-        if chosen + (popcount(uncovered) + max_size - 1) // max_size >= best_size:
-            return
-        p = min(
-            (q for q in range(inst.universe_size) if uncovered >> q & 1),
-            key=lambda q: (len(point_cands[q]), q),
-        )
-        for c in point_cands[p]:
-            branch(covered | masks[c], chosen + 1)
-
-    branch(0, 0)
-    optimum = best_size
-
-    suffix_or = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | masks[i]
-
-    def lex_least(start: int, covered: int, remaining: int):
-        budget.spend()
-        if covered == full:
-            return []
-        if remaining == 0:
-            return None
-        uncovered = full & ~covered
-        if uncovered & ~suffix_or[start]:
-            return None
-        if (popcount(uncovered) + max_size - 1) // max_size > remaining:
-            return None
-        for c in range(start, n):
-            m = masks[c]
-            # a member adding no new point cannot occur in a minimum cover
-            if m & uncovered:
-                rest = lex_least(c + 1, covered | m, remaining - 1)
-                if rest is not None:
-                    return [c, *rest]
-        return None
-
-    certificate = lex_least(0, 0, optimum)
-    if certificate is None:
-        raise CheckFailed(f"no cover of the optimal size {optimum} in the lexicographic pass")
+    # lex-least certificate: at each position the smallest candidate after
+    # the previous one whose remainder still fits in the members left.  Once
+    # the kernel has found one, `witness` is an optimal cover of `uncovered`
+    # by later candidates, so its lowest member fits without a search.
+    certificate: list[int] = []
+    uncovered = full
+    c = -1
+    try:
+        while uncovered:
+            left = optimum - len(certificate) - 1
+            need = max(1, uncovered.bit_count() - left * max_size)
+            for c in range(c + 1, n):
+                low = 1 << c
+                if witness & low:
+                    witness ^= low
+                    break
+                m = masks[c]
+                if (m & uncovered).bit_count() >= need:
+                    found = coverable(uncovered & ~m, left, everything & ~(2 * low - 1))
+                    if found is not None:
+                        witness = found
+                        break
+            else:
+                raise CheckFailed(
+                    f"no cover of the optimal size {optimum} in the lexicographic pass"
+                )
+            certificate.append(c)
+            uncovered &= ~masks[c]
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{exc}: optimum is {optimum}, certificate unfinished") from None
     return CoverSolution(finite(optimum), tuple(certificate))
 
 
@@ -178,22 +228,3 @@ def validate_cover(inst: CoverInstance, solution: CoverSolution) -> bool:
             return False
     return True
 
-
-def inclusion_exclusion_cardinality(subgroups) -> int:
-    """|A_1 u ... u A_k| by the alternating sum over intersections."""
-    subs = list(subgroups)
-    if not subs:
-        return 0
-    if len(subs) > 20:
-        raise TooManySets(f"{len(subs)} sets would need 2^{len(subs)} intersections")
-    if len({s.parent_order for s in subs}) != 1:
-        raise ValueError("subgroups must share a parent group")
-    masks = [s.mask for s in subs]
-    total = 0
-    for pick in range(1, 1 << len(subs)):
-        selected = [m for i, m in enumerate(masks) if pick >> i & 1]
-        inter = selected[0]
-        for m in selected[1:]:
-            inter &= m
-        total += (1 if len(selected) % 2 else -1) * inter.bit_count()
-    return total

@@ -21,10 +21,6 @@ class CheckFailed(GrpinvError):
     """An independent re-check rejected a result this package computed."""
 
 
-class TooManySets(GrpinvError):
-    """Inclusion-exclusion was asked for more sets than the 2^k limit allows."""
-
-
 class InvalidPartition(GrpinvError):
     """A claimed triple cover is not a cover by proper subgroups."""
 

@@ -83,3 +83,12 @@ def test_checks_survive_optimize_flag():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "re-validation" in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_verify_reports_failed_check_and_goes_on(capsys, monkeypatch):
+    monkeypatch.setattr(grpinv.invariants, "validate_cover", reject_all)
+    code = main(["verify", "--suite", "examples"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "FAIL ic(C2^2;C2)" in out and "failed re-validation" in out
+    assert "suite examples: 38 checks" in out

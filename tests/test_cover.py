@@ -5,16 +5,11 @@ import random
 
 import pytest
 
-from grpinv.cover import (
-    CoverSolution,
-    inclusion_exclusion_cardinality,
-    make_instance,
-    min_cover,
-    validate_cover,
-)
-from grpinv.errors import BudgetExceeded, TooManySets
-from grpinv.groups import INFINITE, Cyclic, GeneralizedQuaternion, Power, build, finite
-from grpinv.lattice import all_subgroups
+import grpinv.invariants
+from grpinv.cover import CoverSolution, make_instance, min_cover, validate_cover
+from grpinv.errors import BudgetExceeded
+from grpinv.groups import INFINITE, Cyclic, Power, build, finite
+from grpinv.invariants import ic
 
 
 def exhaustive_min_cover(inst):
@@ -31,12 +26,72 @@ def exhaustive_min_cover(inst):
     return None
 
 
-def random_instance(rng):
-    universe = rng.randint(1, 16)
-    ncand = rng.randint(1, 20)
+def reference_min_cover(inst):
+    """The earlier two-phase solver, unbudgeted: branch and bound for the
+    value, then a lexicographic DFS for the certificate."""
+    if not inst.feasible:
+        return CoverSolution(INFINITE, None)
+    masks = inst.masks
+    n = len(masks)
+    full = (1 << inst.universe_size) - 1
+    max_size = max(m.bit_count() for m in masks)
+    covered = 0
+    greedy = []
+    while covered != full:
+        best = max(range(n), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
+        greedy.append(best)
+        covered |= masks[best]
+    best_size = len(greedy)
+    point_cands = [
+        tuple(i for i in range(n) if masks[i] >> p & 1) for p in range(inst.universe_size)
+    ]
+
+    def branch(covered, chosen):
+        nonlocal best_size
+        if covered == full:
+            best_size = min(best_size, chosen)
+            return
+        uncovered = full & ~covered
+        if chosen + (uncovered.bit_count() + max_size - 1) // max_size >= best_size:
+            return
+        p = min(
+            (q for q in range(inst.universe_size) if uncovered >> q & 1),
+            key=lambda q: (len(point_cands[q]), q),
+        )
+        for c in point_cands[p]:
+            branch(covered | masks[c], chosen + 1)
+
+    branch(0, 0)
+    suffix_or = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | masks[i]
+
+    def lex_least(start, covered, remaining):
+        if covered == full:
+            return []
+        if remaining == 0:
+            return None
+        uncovered = full & ~covered
+        if uncovered & ~suffix_or[start]:
+            return None
+        if (uncovered.bit_count() + max_size - 1) // max_size > remaining:
+            return None
+        for c in range(start, n):
+            if masks[c] & uncovered:
+                rest = lex_least(c + 1, covered | masks[c], remaining - 1)
+                if rest is not None:
+                    return [c, *rest]
+        return None
+
+    return CoverSolution(finite(best_size), tuple(lex_least(0, 0, best_size)))
+
+
+def random_instance(rng, max_universe=16, max_candidates=20, max_size=None):
+    universe = rng.randint(1, max_universe)
+    ncand = rng.randint(1, max_candidates)
     sets = []
     for _ in range(ncand):
-        size = rng.randint(1, universe)
+        size = rng.randint(1, min(universe, max_size or universe))
         sets.append(frozenset(rng.sample(range(universe), size)))
     return make_instance(universe, sets)
 
@@ -109,38 +164,42 @@ def test_deterministic():
         assert min_cover(inst) == min_cover(inst)
 
 
+def test_matches_reference_solver_on_larger_instances():
+    rng = random.Random(0xB17CA7)
+    for i in range(1000):
+        # small sets make the counting bound tight and exact partitions common
+        max_size = 4 if i % 2 else None
+        inst = random_instance(rng, max_universe=24, max_candidates=40, max_size=max_size)
+        assert min_cover(inst) == reference_min_cover(inst)
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_ic_c2_6_into_c2_4_is_pinned(monkeypatch):
+    captured = []
+
+    def capture(inst, node_budget):
+        captured.append(inst)
+        raise _Captured
+
+    monkeypatch.setattr(grpinv.invariants, "min_cover", capture)
+    with pytest.raises(_Captured):
+        ic(build(Power(Cyclic(2), 6)), build(Power(Cyclic(2), 4)))
+    (inst,) = captured
+    assert (inst.universe_size, len(inst.masks)) == (63, 651)
+    sol = min_cover(inst, node_budget=100_000)
+    assert sol.value == finite(5)
+    assert sol.certificate == (0, 61, 115, 217, 645)
+
+
 def test_budget_exhaustion_raises():
     inst = make_instance(6, [{i, (i + 1) % 6} for i in range(6)])
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         min_cover(inst, node_budget=2)
-
-
-def test_inclusion_exclusion_examples():
-    c2c2 = build(Power(Cyclic(2), 2))
-    lat = all_subgroups(c2c2)
-    twos = [s for s in lat.all if s.order == 2]
-    assert inclusion_exclusion_cardinality(twos[:1]) == 2
-    assert inclusion_exclusion_cardinality(twos) == 4
-    q8 = build(GeneralizedQuaternion(8))
-    fours = [s for s in all_subgroups(q8).all if s.order == 4]
-    assert inclusion_exclusion_cardinality(fours) == 8
-
-
-def test_inclusion_exclusion_matches_direct_union():
-    for spec in (Power(Cyclic(2), 3), GeneralizedQuaternion(16), Cyclic(12)):
-        g = build(spec)
-        subs = list(all_subgroups(g).all)
-        rng = random.Random(7)
-        for _ in range(25):
-            pick = rng.sample(subs, rng.randint(1, min(6, len(subs))))
-            union = set()
-            for s in pick:
-                union |= s.members
-            assert inclusion_exclusion_cardinality(pick) == len(union)
-
-
-def test_inclusion_exclusion_set_limit():
-    g = build(Power(Cyclic(2), 2))
-    s = all_subgroups(g).all[0]
-    with pytest.raises(TooManySets):
-        inclusion_exclusion_cardinality([s] * 21)
+    assert "node budget: optimum is 3, certificate unfinished" in str(exc.value)
+    # greedy takes the 4-set first and needs 3; the optimum is the other two
+    greedy_misses = make_instance(6, [{0, 1, 2, 3}, {0, 2, 4}, {1, 3, 5}])
+    with pytest.raises(BudgetExceeded, match=r"budget: optimum in \[2, 3\]"):
+        min_cover(greedy_misses, node_budget=1)
