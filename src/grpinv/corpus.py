@@ -10,10 +10,9 @@ invariant computed along the way has its certificate re-validated.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import invariants as inv
 from .errors import BudgetExceeded, CheckFailed
@@ -30,11 +29,10 @@ from .groups import (
     SemidirectPQ,
     _is_prime,
     build,
-    direct_product,
     spec_order,
     spec_text,
 )
-from .iso import are_isomorphic, order_spectrum
+from .iso import are_isomorphic, order_spectrum, spectrum_dominates
 from .lattice import all_subgroups, as_group, totient_cover_bound
 
 SUITE_NAMES = (
@@ -137,22 +135,6 @@ def corpus(bound: int) -> tuple[CorpusEntry, ...]:
     return tuple(kept)
 
 
-def worker_count() -> int:
-    """GRPINV_THREADS bounds the sweep's worker pool; 0 or unset means auto.
-
-    Auto resolves to 1: at the supported orders the shared memo tables
-    dominate runtime and live per-process, so sequential wins.
-    """
-    raw = os.environ.get("GRPINV_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Sweep context: memoized invariants + certificate bookkeeping
 # ---------------------------------------------------------------------------
@@ -191,9 +173,6 @@ class SweepContext:
                 f"{report.kind}({report.group.label}) certificate unsound"
             )
 
-    def seed_ic(self, gl: str, hl: str, value: ExtNat) -> None:
-        self._ic[(gl, hl)] = value
-
     def ic_value(self, g: FiniteGroup, h: FiniteGroup) -> ExtNat:
         key = (g.label, h.label)
         if key not in self._ic:
@@ -217,115 +196,73 @@ class SweepContext:
         return self._sigma_c[g.label]
 
 
-def _pair_check_worker(args):
-    """Process-pool worker: one ic value (with certificate validation) per
-    ordered corpus pair, rebuilt from specs inside the worker."""
-    gspec, hspec, budget = args
-    g = build(gspec, max_order=HARD_WORKER_MAX_ORDER)
-    h = build(hspec, max_order=HARD_WORKER_MAX_ORDER)
-    report = inv.ic(g, h, budget)
-    failures: list[str] = []
-    checked = 0
-    if report.value.is_finite:
-        checked = 1
-        if not inv.certificate_sound(report):
-            failures.append(f"ic({g.label};{h.label}) certificate unsound")
-        if report.value.value > 1 and not inv.validate_optimal_ic_certificate(report):
-            failures.append(f"ic({g.label};{h.label}) optimality conditions fail")
-    return (g.label, h.label, report.value.value, checked, failures)
-
-
-HARD_WORKER_MAX_ORDER = 512
-
-
-def _precompute_pair_table(ctx: SweepContext, entries, workers: int) -> None:
-    pairs = [(a, b) for a in entries for b in entries]
-    if workers <= 1:
-        for a, b in pairs:
-            ctx.ic_value(a.group, b.group)
-        return
-    import multiprocessing
-
-    args = [(a.spec, b.spec, ctx.node_budget) for a, b in pairs]
-    with multiprocessing.Pool(workers) as pool:
-        for gl, hl, value, checked, failures in pool.imap(
-            _pair_check_worker, args, chunksize=8
-        ):
-            ctx.seed_ic(gl, hl, ExtNat(value))
-            ctx.certificates_checked += checked
-            ctx.certificate_failures.extend(failures)
-
-
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: each yields (name, check) cases, and one driver runs them
 # ---------------------------------------------------------------------------
 
-def _run(suite: str, name: str, fn) -> CheckResult:
+def _run(suite: str, name: str, check) -> CheckResult:
+    """Run one case; `check` returns ok or (ok, detail).  An exhausted
+    budget is a skip and a failed re-check a fail, so no case stops the
+    sweep."""
     start = time.perf_counter()
     try:
-        ok, detail = fn()
+        outcome = check()
     except BudgetExceeded as exc:
         return CheckResult(suite, name, "skip", str(exc), time.perf_counter() - start)
     except CheckFailed as exc:
         return CheckResult(suite, name, "fail", str(exc), time.perf_counter() - start)
+    ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
     status = "pass" if ok else "fail"
     return CheckResult(suite, name, status, detail, time.perf_counter() - start)
 
 
-def suite_triangle(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckResult]:
+def _sweep(suite: str, cases):
+    """The suite `(ctx, bound) -> list[CheckResult]` that runs every case
+    `cases(ctx, bound)` yields, in order."""
+
+    def run(ctx: SweepContext, bound: int) -> list[CheckResult]:
+        return [_run(suite, name, check) for name, check in cases(ctx, bound)]
+
+    return run
+
+
+def _triangle_cases(ctx: SweepContext, bound: int):
     """IC(G;K) <= IC(G;H) * IC(H;K) over all ordered corpus triples."""
-    entries = corpus(bound)
-    _precompute_pair_table(ctx, entries, workers)
-    fn = lambda a, b: ctx.ic_value(a, b)
-    results = []
-    for a, b, c in itertools.product(entries, repeat=3):
-        name = f"triangle({a.group.label};{b.group.label};{c.group.label})"
-        results.append(
-            _run(
-                "triangle",
-                name,
-                lambda a=a, b=b, c=c: (
-                    inv.check_triangle(a.group, b.group, c.group, ic_fn=fn),
-                    "",
-                ),
-            )
+    groups = [e.group for e in corpus(bound)]
+    for a, b, c in itertools.product(groups, repeat=3):
+        yield (
+            f"triangle({a.label};{b.label};{c.label})",
+            partial(inv.check_triangle, a, b, c, ic_fn=ctx.ic_value),
         )
-    return results
 
 
-def suite_bounds(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckResult]:
+def _bounds_cases(ctx: SweepContext, bound: int):
     """sigma <= IC <= sigma_c sandwich over all ordered corpus pairs."""
-    entries = corpus(bound)
-    _precompute_pair_table(ctx, entries, workers)
-    fn = lambda a, b: ctx.ic_value(a, b)
-    results = []
-    for a, b in itertools.product(entries, repeat=2):
-        name = f"bounds({a.group.label};{b.group.label})"
-        results.append(
-            _run(
-                "bounds",
-                name,
-                lambda a=a, b=b: (
-                    inv.check_bounds_sandwich(a.group, b.group, ic_fn=fn),
-                    "",
-                ),
-            )
+    groups = [e.group for e in corpus(bound)]
+    for a, b in itertools.product(groups, repeat=2):
+        yield (
+            f"bounds({a.label};{b.label})",
+            partial(
+                inv.check_bounds_sandwich,
+                a,
+                b,
+                ic_fn=ctx.ic_value,
+                node_budget=ctx.node_budget,
+            ),
         )
-    return results
 
 
-def suite_tozp(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckResult]:
+def _tozp_cases(ctx: SweepContext, bound: int):
     """The |G| = IC(G;C_p)(p-1)+1 identities for every finite IC(G;C_p).
 
-    Only primes dividing |G| can give a finite value (every non-identity
-    element order must equal p), so other primes are skipped silently.
+    IC(G;C_p) is finite exactly when every non-identity element of G has
+    order p, so other primes and groups are skipped silently, without a
+    search.
     """
     entries = corpus(bound)
     cyclic_by_order = {
-        e.group.order: e for e in entries if isinstance(e.spec, Cyclic)
+        e.group.order: e.group for e in entries if isinstance(e.spec, Cyclic)
     }
-    fn = lambda a, b: ctx.ic_value(a, b)
-    results = []
     for e in entries:
         g = e.group
         if g.order == 1:
@@ -333,27 +270,18 @@ def suite_tozp(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckRes
         for p in range(2, g.order + 1):
             if g.order % p or not _is_prime(p):
                 continue
-            target = cyclic_by_order[p]
-            if not ctx.ic_value(g, target.group).is_finite:
+            if not spectrum_dominates(g, cyclic_by_order[p]):
                 continue
-            name = f"tozp({g.label};p={p})"
-            results.append(
-                _run(
-                    "tozp",
-                    name,
-                    lambda g=g, p=p: (inv.check_to_zp_formula(g, p, ic_fn=fn), ""),
-                )
+            yield f"tozp({g.label};p={p})", partial(
+                inv.check_to_zp_formula, g, p, ic_fn=ctx.ic_value
             )
-    return results
 
 
-def suite_subadd(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckResult]:
+def _subadd_cases(ctx: SweepContext, bound: int):
     """Sub-additivity over every proper-triple cover of every corpus group,
     against every corpus target.  The trivial subgroup never participates in
     a triple cover (two proper subgroups cannot cover a group)."""
     entries = corpus(bound)
-    fn = lambda a, b: ctx.ic_value(a, b)
-    results = []
     for e in entries:
         g = e.group
         if g.is_cyclic:
@@ -372,17 +300,9 @@ def suite_subadd(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckR
                     f"subadd({g.label};{he.group.label};"
                     f"{a.order}@{a.mask:x},{b.order}@{b.mask:x},{c.order}@{c.mask:x})"
                 )
-                results.append(
-                    _run(
-                        "subadd",
-                        name,
-                        lambda g=g, he=he, a=a, b=b, c=c: (
-                            inv.check_subadditivity(g, he.group, a, b, c, ic_fn=fn),
-                            "",
-                        ),
-                    )
+                yield name, partial(
+                    inv.check_subadditivity, g, he.group, a, b, c, ic_fn=ctx.ic_value
                 )
-    return results
 
 
 def _shrink(g: FiniteGroup) -> FiniteGroup:
@@ -394,82 +314,59 @@ def _shrink(g: FiniteGroup) -> FiniteGroup:
     return as_group(g, lat.maximal_subgroups[0])[0]
 
 
-def suite_product(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckResult]:
+def _product_cases(ctx: SweepContext, bound: int):
     """IC(G1xG2;H1xH2) <= IC(G1;H1)*IC(G2;H2) over ordered corpus pairs with
     product order within the bound; each pair is checked against the
     identity-shaped targets (X,Y) and the shrunk targets (maximal subgroup
     on one side), which reproduces the tower-style applications."""
-    entries = corpus(bound)
-    fn = lambda a, b: ctx.ic_value(a, b)
-    results = []
-    for a, b in itertools.product(entries, repeat=2):
-        if a.group.order * b.group.order > bound:
+    groups = [e.group for e in corpus(bound)]
+    for x, y in itertools.product(groups, repeat=2):
+        if x.order * y.order > bound:
             continue
-        x, y = a.group, b.group
         quads = [
             ("same", x, y, x, y),
             ("shrinkL", x, y, _shrink(x), y),
             ("shrinkR", x, y, x, _shrink(y)),
         ]
         for tag, g1, g2, h1, h2 in quads:
-            name = f"product[{tag}]({g1.label},{g2.label};{h1.label},{h2.label})"
-            results.append(
-                _run(
-                    "product",
-                    name,
-                    lambda g1=g1, g2=g2, h1=h1, h2=h2: (
-                        inv.check_product_inequality(g1, g2, h1, h2, ic_fn=fn),
-                        "",
-                    ),
-                )
+            yield (
+                f"product[{tag}]({g1.label},{g2.label};{h1.label},{h2.label})",
+                partial(inv.check_product_inequality, g1, g2, h1, h2, ic_fn=ctx.ic_value),
             )
-    return results
 
 
-def suite_coordinate(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckResult]:
+def _coordinate_cases(ctx: SweepContext, bound: int):
     """Coordinate-injection inequalities and the product chain, over ordered
     pairs whose squares and mixed product all stay within the bound (the
     chain builds GxG and HxH)."""
-    entries = corpus(bound)
-    fn = lambda a, b: ctx.ic_value(a, b)
-    results = []
-    for a, b in itertools.product(entries, repeat=2):
-        na, nb = a.group.order, b.group.order
+    groups = [e.group for e in corpus(bound)]
+    for a, b in itertools.product(groups, repeat=2):
+        na, nb = a.order, b.order
         if na * nb > bound or na * na > bound or nb * nb > bound:
             continue
-        name = f"coordinate({a.group.label};{b.group.label})"
-        results.append(
-            _run(
-                "coordinate",
-                name,
-                lambda a=a, b=b: (
-                    inv.check_coordinate_injections(
-                        a.group, b.group, b.group, a.group, ic_fn=fn
-                    ),
-                    "",
-                ),
-            )
+        yield (
+            f"coordinate({a.label};{b.label})",
+            partial(inv.check_coordinate_injections, a, b, b, a, ic_fn=ctx.ic_value),
         )
-    return results
 
 
-def suite_miller_moreno(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckResult]:
+def suite_miller_moreno(ctx: SweepContext, bound: int) -> list[CheckResult]:
     """Cyclic-proper-subgroups predicate vs the classified families, with
     the known boundary cases reported as flags."""
     results = []
     for e in corpus(bound):
-        g = e.group
-        name = f"miller_moreno({g.label})"
         start = time.perf_counter()
-        ok = inv.check_miller_moreno(g)
-        flag = inv.miller_moreno_flag(g)
-        elapsed = time.perf_counter() - start
-        if not ok:
-            results.append(CheckResult("miller_moreno", name, "fail", flag or "", elapsed))
-        elif flag is not None:
-            results.append(CheckResult("miller_moreno", name, "flag", flag, elapsed))
-        else:
-            results.append(CheckResult("miller_moreno", name, "pass", "", elapsed))
+        ok, flag = inv.check_miller_moreno(e.group)
+        status = "fail" if not ok else "pass" if flag is None else "flag"
+        results.append(
+            CheckResult(
+                "miller_moreno",
+                f"miller_moreno({e.group.label})",
+                status,
+                flag or "",
+                time.perf_counter() - start,
+            )
+        )
     return results
 
 
@@ -508,28 +405,27 @@ def _example_rows():
     return rows
 
 
-def suite_examples(ctx: SweepContext, bound: int, workers: int = 1) -> list[CheckResult]:
+def _examples_cases(ctx: SweepContext, bound: int):
     """The worked-example oracle table: exact integer (or infinite) values,
     plus the strictness witnesses and the isomorphism-invariance check."""
-    results = []
+
+    def row(kind, gspec, hspec, want):
+        g = build(gspec, max_order=max(bound, 32))
+        if kind == "ic":
+            value = ctx.ic_value(g, build(hspec, max_order=max(bound, 32)))
+        elif kind == "sigma":
+            value = ctx.sigma_value(g)
+        else:
+            value = ctx.sigma_c_value(g)
+        shown = str(value)
+        target = "infinite" if want == "infinite" else str(want)
+        return shown == target, f"got {shown}, want {target}"
+
     for kind, label, (gspec, hspec, want) in _example_rows():
         order = spec_order(gspec)
         if order is None or order > bound:
             continue
-
-        def row(kind=kind, gspec=gspec, hspec=hspec, want=want):
-            g = build(gspec, max_order=max(bound, 32))
-            if kind == "ic":
-                value = ctx.ic_value(g, build(hspec, max_order=max(bound, 32)))
-            elif kind == "sigma":
-                value = ctx.sigma_value(g)
-            else:
-                value = ctx.sigma_c_value(g)
-            shown = str(value)
-            target = "infinite" if want == "infinite" else str(want)
-            return shown == target, f"got {shown}, want {target}"
-
-        results.append(_run("examples", f"{kind}({label})", row))
+        yield f"{kind}({label})", partial(row, kind, gspec, hspec, want)
 
     def strict_totient():
         q8 = build(GeneralizedQuaternion(8))
@@ -539,9 +435,7 @@ def suite_examples(ctx: SweepContext, bound: int, workers: int = 1) -> list[Chec
         return ok, f"totient bound {bound_val}, sigma_c {sc}"
 
     if bound >= 8:
-        results.append(
-            _run("examples", "strict(totient_bound(Q8)>sigma_c(Q8))", strict_totient)
-        )
+        yield "strict(totient_bound(Q8)>sigma_c(Q8))", strict_totient
 
     def strict_gap():
         g = build(Power(Cyclic(3), 3))
@@ -551,7 +445,7 @@ def suite_examples(ctx: SweepContext, bound: int, workers: int = 1) -> list[Chec
         return ok, f"ic {icv}, sigma {sv}"
 
     if bound >= 27:
-        results.append(_run("examples", "strict(ic(C3^3;C3)-sigma(C3^3)=9)", strict_gap))
+        yield "strict(ic(C3^3;C3)-sigma(C3^3)=9)", strict_gap
 
     def iso_invariance():
         from .groups import PermGroup
@@ -564,21 +458,19 @@ def suite_examples(ctx: SweepContext, bound: int, workers: int = 1) -> list[Chec
         return a == b, f"got {a} vs {b}"
 
     if bound >= 6:
-        results.append(
-            _run("examples", "invariance(ic(D3;C6)=ic(Perm;C2xC3))", iso_invariance)
-        )
-    return results
+        yield "invariance(ic(D3;C6)=ic(Perm;C2xC3))", iso_invariance
 
 
+# Each entry is its own callable `(ctx, bound) -> list[CheckResult]`.
 SUITES = {
-    "triangle": suite_triangle,
-    "bounds": suite_bounds,
-    "tozp": suite_tozp,
-    "subadd": suite_subadd,
-    "product": suite_product,
-    "coordinate": suite_coordinate,
+    "triangle": _sweep("triangle", _triangle_cases),
+    "bounds": _sweep("bounds", _bounds_cases),
+    "tozp": _sweep("tozp", _tozp_cases),
+    "subadd": _sweep("subadd", _subadd_cases),
+    "product": _sweep("product", _product_cases),
+    "coordinate": _sweep("coordinate", _coordinate_cases),
     "miller_moreno": suite_miller_moreno,
-    "examples": suite_examples,
+    "examples": _sweep("examples", _examples_cases),
 }
 
 
@@ -605,19 +497,16 @@ def run_suites(
     names=None,
     max_order: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int | None = None,
 ) -> VerifyReport:
     names = list(names) if names else list(SUITE_NAMES)
     for n in names:
         if n not in SUITES:
             raise ValueError(f"unknown suite {n!r} (choose from {', '.join(SUITE_NAMES)})")
-    if workers is None:
-        workers = worker_count()
     ctx = SweepContext(node_budget)
     report = VerifyReport()
     for n in names:
         bound = max_order if max_order is not None else DEFAULT_SUITE_BOUNDS[n]
-        report.results.extend(SUITES[n](ctx, bound, workers))
+        report.results.extend(SUITES[n](ctx, bound))
     report.certificates_checked = ctx.certificates_checked
     report.certificate_failures = list(ctx.certificate_failures)
     return report

@@ -239,16 +239,19 @@ def check_triangle(g, h, k, *, ic_fn=None) -> bool:
     return f(g, k) <= f(g, h) * f(h, k)
 
 
-def check_bounds_sandwich(g, h, *, ic_fn=None) -> bool:
+def check_bounds_sandwich(
+    g, h, *, ic_fn=None, node_budget: int = DEFAULT_NODE_BUDGET
+) -> bool:
     """sigma(G) <= IC(G;H) when G does not embed in H;
-    IC(G;H) <= sigma_c(G) when H realizes every element order of G."""
-    f = ic_fn or (lambda a, b: ic(a, b).value)
+    IC(G;H) <= sigma_c(G) when H realizes every element order of G.
+    Every search runs under `node_budget`."""
+    f = ic_fn or (lambda a, b: ic(a, b, node_budget).value)
     value = f(g, h)
     ok = True
     if embeds(g, h) is None:
-        ok = ok and sigma(g).value <= value
+        ok = ok and sigma(g, node_budget).value <= value
     if spectrum_dominates(g, h):
-        ok = ok and value <= sigma_c(g).value
+        ok = ok and value <= sigma_c(g, node_budget).value
     return ok
 
 
@@ -325,26 +328,16 @@ def miller_moreno_classification(g: FiniteGroup) -> bool:
     return g.is_cyclic or _is_generalized_quaternion(g) or _is_nonabelian_pq(g)
 
 
-def check_miller_moreno(g: FiniteGroup) -> bool:
+def check_miller_moreno(g: FiniteGroup) -> tuple[bool, str | None]:
     """Compare the all-proper-subgroups-cyclic predicate with the classified
-    families, tolerating the two known boundary cases: C_p x C_p satisfies
-    the predicate but is outside the list, and Q_{2^n} with n >= 4 is in the
-    list but contains a non-cyclic Q8."""
-    lhs = all_proper_subgroups_cyclic(g)
-    rhs = miller_moreno_classification(g)
-    if lhs == rhs:
-        return True
-    return _is_noncyclic_p_by_p(g) or (g.order >= 16 and _is_generalized_quaternion(g))
-
-
-def miller_moreno_flag(g: FiniteGroup) -> str | None:
-    """Human-readable note for the boundary cases of check_miller_moreno."""
-    lhs = all_proper_subgroups_cyclic(g)
-    rhs = miller_moreno_classification(g)
-    if lhs == rhs:
-        return None
+    families; returns (ok, flag).  The two known boundary cases are ok with
+    a flag naming them: C_p x C_p satisfies the predicate but is outside the
+    list, and Q_{2^n} with n >= 4 is in the list but contains a non-cyclic
+    Q8.  Any other mismatch is (False, "classification mismatch")."""
+    if all_proper_subgroups_cyclic(g) == miller_moreno_classification(g):
+        return True, None
     if _is_noncyclic_p_by_p(g):
-        return "C_p x C_p has only cyclic proper subgroups but is outside the classified list"
+        return True, "C_p x C_p has only cyclic proper subgroups but is outside the classified list"
     if g.order >= 16 and _is_generalized_quaternion(g):
-        return "generalized quaternion of order >= 16 contains a non-cyclic Q8"
-    return "classification mismatch"
+        return True, "generalized quaternion of order >= 16 contains a non-cyclic Q8"
+    return False, "classification mismatch"

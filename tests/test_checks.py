@@ -92,3 +92,12 @@ def test_verify_reports_failed_check_and_goes_on(capsys, monkeypatch):
     assert code == 3
     assert "FAIL ic(C2^2;C2)" in out and "failed re-validation" in out
     assert "suite examples: 38 checks" in out
+
+
+def test_verify_reports_failed_bounds_checks(capsys, monkeypatch):
+    monkeypatch.setattr(grpinv.invariants, "validate_cover", reject_all)
+    code = main(["verify", "--suite", "bounds", "--max-order", "4"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "FAIL bounds(C2^2;C2)" in out and "failed re-validation" in out
+    assert "suite bounds: 25 checks" in out

@@ -260,8 +260,28 @@ def test_verify_fault_injection_exits_3(capsys, monkeypatch):
     assert "FAIL ic(C2^2;C2)" in out
 
 
-def test_verify_threads_env_small(capsys, monkeypatch):
-    monkeypatch.setenv("GRPINV_THREADS", "2")
+def test_verify_triangle_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "triangle", "--max-order", "6")
     assert code == 0
     assert "suite triangle:" in out
+
+
+def test_verify_budget_skips_triangle_checks(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "triangle", "--max-order", "4", "--budget", "1"
+    )
+    assert code == 2
+    assert "SKIP triangle(C2^2;C2;C2)" in out
+    assert "suite triangle: 125 checks (101 pass, 24 skip)" in out
+    assert "error:" not in out + err
+
+
+def test_verify_budget_bounds_every_search(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "bounds,tozp", "--max-order", "4", "--budget", "1"
+    )
+    assert code == 2
+    # sigma(C2^2) needs 3 nodes, so the sandwich cannot finish
+    assert "SKIP bounds(C2^2;C3)" in out
+    assert "SKIP tozp(C2^2;p=2)" in out
+    assert "error:" not in out + err

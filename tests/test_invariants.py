@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from grpinv.corpus import corpus
-from grpinv.errors import InvalidPartition
+from grpinv.errors import BudgetExceeded, InvalidPartition
 from grpinv.groups import (
     INFINITE,
     Cyclic,
@@ -30,7 +30,6 @@ from grpinv.invariants import (
     check_to_zp_formula,
     check_triangle,
     ic,
-    miller_moreno_flag,
     sigma,
     sigma_c,
     validate_optimal_ic_certificate,
@@ -295,6 +294,14 @@ def test_bounds_sandwich_examples():
     assert check_bounds_sandwich(build(Cyclic(9)), build(Cyclic(3)))
 
 
+def test_bounds_sandwich_honours_node_budget():
+    # IC(C2^2;C3) is infinite without a search; sigma(C2^2) needs 3 nodes
+    g, h = build(Power(Cyclic(2), 2)), build(Cyclic(3))
+    with pytest.raises(BudgetExceeded):
+        check_bounds_sandwich(g, h, node_budget=2)
+    assert check_bounds_sandwich(g, h, node_budget=3)
+
+
 def test_to_zp_formula_examples():
     assert check_to_zp_formula(build(Power(Cyclic(2), 2)), 2)
     assert check_to_zp_formula(build(Power(Cyclic(3), 2)), 3)
@@ -350,15 +357,13 @@ def test_coordinate_injections_examples():
 
 
 def test_miller_moreno_checker():
-    assert check_miller_moreno(build(GeneralizedQuaternion(8)))
-    assert miller_moreno_flag(build(GeneralizedQuaternion(8))) is None
-    assert check_miller_moreno(build(SemidirectPQ(7, 3)))
-    assert check_miller_moreno(build(Power(Cyclic(2), 3)))  # both sides false
-    assert check_miller_moreno(build(Cyclic(9)))
+    assert check_miller_moreno(build(GeneralizedQuaternion(8))) == (True, None)
+    assert check_miller_moreno(build(SemidirectPQ(7, 3))) == (True, None)
+    # both sides false
+    assert check_miller_moreno(build(Power(Cyclic(2), 3))) == (True, None)
+    assert check_miller_moreno(build(Cyclic(9))) == (True, None)
     # boundary cases are flagged, not failed
-    q16 = build(GeneralizedQuaternion(16))
-    assert check_miller_moreno(q16)
-    assert miller_moreno_flag(q16) is not None
-    c2c2 = build(Power(Cyclic(2), 2))
-    assert check_miller_moreno(c2c2)
-    assert miller_moreno_flag(c2c2) is not None
+    ok, flag = check_miller_moreno(build(GeneralizedQuaternion(16)))
+    assert ok and "generalized quaternion" in flag
+    ok, flag = check_miller_moreno(build(Power(Cyclic(2), 2)))
+    assert ok and "C_p x C_p" in flag

@@ -6,12 +6,10 @@ import pytest
 
 from grpinv.corpus import (
     DEFAULT_SUITE_BOUNDS,
+    SUITES,
     SweepContext,
     corpus,
     run_suites,
-    suite_miller_moreno,
-    suite_tozp,
-    worker_count,
 )
 from grpinv.iso import are_isomorphic
 
@@ -59,7 +57,7 @@ def test_examples_suite_respects_bound():
 
 def test_tozp_suite_small():
     ctx = SweepContext()
-    results = suite_tozp(ctx, 16)
+    results = SUITES["tozp"](ctx, 16)
     assert results and all(r.status == "pass" for r in results)
     names = " ".join(r.name for r in results)
     assert "tozp(C2^2;p=2)" in names and "tozp(C3^2;p=3)" in names
@@ -67,7 +65,7 @@ def test_tozp_suite_small():
 
 def test_miller_moreno_suite_flags_boundary_cases():
     ctx = SweepContext()
-    results = suite_miller_moreno(ctx, DEFAULT_SUITE_BOUNDS["miller_moreno"])
+    results = SUITES["miller_moreno"](ctx, DEFAULT_SUITE_BOUNDS["miller_moreno"])
     assert not [r for r in results if r.status == "fail"]
     flagged = {r.name for r in results if r.status == "flag"}
     assert "miller_moreno(Q16)" in flagged
@@ -75,14 +73,3 @@ def test_miller_moreno_suite_flags_boundary_cases():
     passed = {r.name for r in results if r.status == "pass"}
     assert "miller_moreno(Q8)" in passed
     assert "miller_moreno(SD(7,3))" in passed
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("GRPINV_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GRPINV_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("GRPINV_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("GRPINV_THREADS", "junk")
-    assert worker_count() == 1
