@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import __version__
-from .corpus import DEFAULT_SUITE_BOUNDS, SUITE_NAMES, run_suites
+from .corpus import SUITE_NAMES, run_suites
 from .cover import DEFAULT_NODE_BUDGET
 from .errors import BudgetExceeded, GrpinvError, InvalidSpec, OrderLimitExceeded, ParseError
 from .groups import (

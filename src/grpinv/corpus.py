@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 from . import invariants as inv
 from .errors import BudgetExceeded, CheckFailed
@@ -237,8 +237,15 @@ def _triangle_cases(ctx: SweepContext, bound: int):
 
 
 def _bounds_cases(ctx: SweepContext, bound: int):
-    """sigma <= IC <= sigma_c sandwich over all ordered corpus pairs."""
+    """sigma <= IC <= sigma_c sandwich over all ordered corpus pairs.
+
+    sigma and sigma_c are computed once per group and sweep, by value only:
+    they stay out of the certificate ledger, which counts the IC values and
+    the examples table.  `cache` keeps no exception, so a value the budget
+    cannot reach is searched for again, and skipped, by each check needing it."""
     groups = [e.group for e in corpus(bound)]
+    sigma_fn = cache(lambda g: inv.sigma(g, ctx.node_budget).value)
+    sigma_c_fn = cache(lambda g: inv.sigma_c(g, ctx.node_budget).value)
     for a, b in itertools.product(groups, repeat=2):
         yield (
             f"bounds({a.label};{b.label})",
@@ -247,7 +254,8 @@ def _bounds_cases(ctx: SweepContext, bound: int):
                 a,
                 b,
                 ic_fn=ctx.ic_value,
-                node_budget=ctx.node_budget,
+                sigma_fn=sigma_fn,
+                sigma_c_fn=sigma_c_fn,
             ),
         )
 

@@ -240,18 +240,22 @@ def check_triangle(g, h, k, *, ic_fn=None) -> bool:
 
 
 def check_bounds_sandwich(
-    g, h, *, ic_fn=None, node_budget: int = DEFAULT_NODE_BUDGET
+    g, h, *, ic_fn=None, sigma_fn=None, sigma_c_fn=None, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> bool:
     """sigma(G) <= IC(G;H) when G does not embed in H;
     IC(G;H) <= sigma_c(G) when H realizes every element order of G.
-    Every search runs under `node_budget`."""
+    Every search the check runs itself is under `node_budget`; `ic_fn`,
+    `sigma_fn` and `sigma_c_fn` stand in for those searches, e.g. a sweep's
+    memos."""
     f = ic_fn or (lambda a, b: ic(a, b, node_budget).value)
+    sigma_of = sigma_fn or (lambda a: sigma(a, node_budget).value)
+    sigma_c_of = sigma_c_fn or (lambda a: sigma_c(a, node_budget).value)
     value = f(g, h)
     ok = True
     if embeds(g, h) is None:
-        ok = ok and sigma(g, node_budget).value <= value
+        ok = ok and sigma_of(g) <= value
     if spectrum_dominates(g, h):
-        ok = ok and value <= sigma_c(g, node_budget).value
+        ok = ok and value <= sigma_c_of(g)
     return ok
 
 

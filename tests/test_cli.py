@@ -1,9 +1,13 @@
 """CLI: grammar, output contracts, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grpinv
 import grpinv.invariants
 from grpinv.cli import main, parse_spec
 from grpinv.corpus import corpus_specs
@@ -285,3 +289,39 @@ def test_verify_budget_bounds_every_search(capsys):
     assert "SKIP bounds(C2^2;C3)" in out
     assert "SKIP tozp(C2^2;p=2)" in out
     assert "error:" not in out + err
+
+
+# ---------------------------------------------------------------------------
+# start-up: the standard library only
+# ---------------------------------------------------------------------------
+
+_NO_NUMPY = (
+    "import sys\n"
+    "class NoNumpy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'numpy':\n"
+    "            raise ImportError('numpy is not available')\n"
+    "sys.meta_path.insert(0, NoNumpy())\n"
+)
+
+
+def _python(script):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grpinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_loads_no_numpy():
+    proc = _python("import grpinv.cli, sys; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_verify_runs_without_numpy():
+    proc = _python(
+        _NO_NUMPY
+        + "from grpinv.cli import main\n"
+        + "sys.exit(main(['verify', '--suite', 'examples']))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "suite examples: 38 checks (38 pass)" in proc.stdout

@@ -1,6 +1,7 @@
 """Group construction: families, products, permutation closure, validation."""
 
 import math
+import re
 
 import pytest
 
@@ -15,6 +16,8 @@ from grpinv.groups import (
     Power,
     Product,
     SemidirectPQ,
+    _finalize,
+    _validate_table,
     build,
     build_semidirect_pq,
     element_order,
@@ -169,6 +172,80 @@ def test_group_axioms_hold(spec):
         for b in range(n):
             for c in range(n):
                 assert t[t[a][b]][c] == t[a][t[b][c]]
+
+
+# a loop (identity, unique solutions) whose (1*1)*2 = 2 but 1*(1*2) = 4
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _product_table(a, b):
+    m = len(b)
+    return [
+        [a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m)]
+        for i in range(len(a))
+        for j in range(m)
+    ]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (LOOP5, "not associative at (1,1,2)"),
+        # element 1 generates the C2 factor and passes Light's test; the
+        # failure shows only at a later generator
+        (_product_table(LOOP5, [[0, 1], [1, 0]]), "not associative"),
+        ([[0, 1, 2], [1, 2], [2, 0, 1]], "malformed"),
+        ([[0, 1, 2], [1, 2, 3], [2, 0, 1]], "malformed"),
+        ([[0, 1, 2], [1, 2, -1], [2, 0, 1]], "malformed"),
+        ([], "malformed"),
+        ([[1, 0], [0, 1]], "not an identity"),
+        ([[0, 1, 2], [1, 2, 0], [0, 0, 1]], "not an identity"),
+        ([[0, 1], [1, 1]], "has no inverse"),
+    ],
+)
+def test_finalize_rejects_non_groups(table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _finalize("T", table)
+
+
+def test_associativity_is_checked_above_order_128():
+    # Swapping two products in row 1 of D128 breaks associativity at a tiny
+    # share of the n^3 triples, which sampling 512 of them missed.
+    d128 = build(Dihedral(128), max_order=512)
+    rows = [list(r) for r in d128.table]
+    assert _finalize("D128", rows).table == d128.table
+    rows[1][1], rows[1][2] = rows[1][2], rows[1][1]
+    with pytest.raises(ValueError, match="not associative"):
+        _finalize("D128'", rows)
+
+
+def naive_associative(t):
+    """Every triple, independent of the generating-set argument."""
+    n = len(t)
+    return all(
+        t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+@pytest.mark.parametrize("spec", [Dihedral(4), Power(Cyclic(2), 3), GeneralizedQuaternion(8)])
+def test_associativity_check_matches_every_triple(spec):
+    # Each table changes one product of a group; whether the result is still
+    # associative is decided by checking all n^3 triples (it never is here).
+    t = build(spec).table
+    n = len(t)
+    for a in range(1, n):
+        for b in range(1, n):
+            for c in range(n):
+                if c == t[a][b]:
+                    continue
+                rows = [list(r) for r in t]
+                rows[a][b] = c
+                try:
+                    _validate_table("T", rows)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == naive_associative(rows), (a, b, c)
 
 
 def test_build_is_deterministic():

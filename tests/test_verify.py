@@ -1,9 +1,11 @@
 """Corpus construction and sweep machinery."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+import grpinv.invariants
 from grpinv.corpus import (
     DEFAULT_SUITE_BOUNDS,
     SUITES,
@@ -11,6 +13,8 @@ from grpinv.corpus import (
     corpus,
     run_suites,
 )
+from grpinv.errors import BudgetExceeded
+from grpinv.invariants import check_bounds_sandwich
 from grpinv.iso import are_isomorphic
 
 
@@ -73,3 +77,37 @@ def test_miller_moreno_suite_flags_boundary_cases():
     passed = {r.name for r in results if r.status == "pass"}
     assert "miller_moreno(Q8)" in passed
     assert "miller_moreno(SD(7,3))" in passed
+
+
+def test_bounds_suite_computes_sigma_once_per_group(monkeypatch):
+    calls = Counter()
+    for name in ("sigma", "sigma_c"):
+        real = getattr(grpinv.invariants, name)
+
+        def counted(g, *args, _real=real, _name=name, **kwargs):
+            calls[_name, g.label] += 1
+            return _real(g, *args, **kwargs)
+
+        monkeypatch.setattr(grpinv.invariants, name, counted)
+    ctx = SweepContext()
+    results = SUITES["bounds"](ctx, 12)
+    assert results and all(r.status == "pass" for r in results)
+    assert calls and max(calls.values()) == 1
+    # sigma and sigma_c stay out of the ledger: it counts the finite IC values
+    assert ctx.certificates_checked == sum(v.is_finite for v in ctx._ic.values())
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5])
+def test_bounds_suite_skips_each_check_its_budget_stops(budget):
+    # The memo keeps only values found, so every check that needs a sigma the
+    # budget cannot reach is a skip, as when each check searches on its own.
+    results = SUITES["bounds"](SweepContext(node_budget=budget), 8)
+    groups = [e.group for e in corpus(8)]
+    want = []
+    for a, b in itertools.product(groups, repeat=2):
+        try:
+            want.append("pass" if check_bounds_sandwich(a, b, node_budget=budget) else "fail")
+        except BudgetExceeded:
+            want.append("skip")
+    assert [r.status for r in results] == want
+    assert "skip" in want and "pass" in want
