@@ -1,5 +1,9 @@
 """Exact minimum set cover with deterministic certificates.
 
+`make_instance` keeps the first occurrence of each set that no other set
+strictly contains: the sets holding all of a set's points are the AND of
+per-point bitsets.
+
 One kernel, `coverable(uncovered, r, allowed)`, finds a cover of the
 uncovered points by at most r candidates drawn from the bitset `allowed`,
 or reports that there is none.  It branches on the uncovered point with the
@@ -8,14 +12,17 @@ prunes with the counting bound |uncovered| <= r * max-size, tries only
 candidates that add enough new points for the rest to fit, and drops a
 candidate from `allowed` once the branch through it has failed.
 
-`min_cover` uses it twice.  The value: start from the greedy cover's size
-and lower it while a smaller cover exists.  The certificate: fix one member
-at a time, the smallest index after the previous member whose remainder is
-still coverable by later candidates, which yields the lexicographically
-least optimal cover.  The last cover the kernel found is such a remainder,
-so its lowest member is accepted without another search.  Every kernel
-call spends one node of a single budget; running out raises
-`BudgetExceeded` with the bounds reached, never a non-optimal answer.
+`min_cover` uses it twice.  The value: when the counting bound is at least
+two below the greedy cover's size, ask once for a cover of the counting
+bound's size, which spares a long descent; if there is none, the optimum
+lies above it.  Then lower the best size found while a smaller cover
+exists.  The certificate: fix one member at a time, the smallest index
+after the previous member whose remainder is still coverable by later
+candidates, which yields the lexicographically least optimal cover.  The
+last cover the kernel found is such a remainder, so its lowest member is
+accepted without another search.  Every kernel call spends one node of a
+single budget; running out raises `BudgetExceeded` with the bounds
+reached, never a non-optimal answer.
 """
 
 from __future__ import annotations
@@ -48,15 +55,24 @@ def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
         if any(not 0 <= p < universe_size for p in s):
             raise ValueError("candidate point outside universe")
     masks = [sum(1 << p for p in s) for s in sets]
-    kept: list[int] = []
+    # the first occurrence of each distinct nonempty set, and per point the
+    # bitset of those first occurrences (by their rank) that hold it
+    first: dict[int, int] = {}
     for i, m in enumerate(masks):
-        if m == 0:
-            continue
-        if any(masks[j] | m == masks[j] for j in kept):
-            continue  # duplicate or dominated by an already-kept set
-        kept = [j for j in kept if masks[j] | m != m]
-        kept.append(i)
-    kept.sort()
+        if m:
+            first.setdefault(m, i)
+    holders = [0] * universe_size
+    for rank, m in enumerate(first):
+        for p in _bits(m):
+            holders[p] |= 1 << rank
+    # a set is kept when it is the only distinct set holding all its points
+    kept: list[int] = []
+    for rank, (m, i) in enumerate(first.items()):
+        supersets = -1
+        for p in _bits(m):
+            supersets &= holders[p]
+        if supersets == 1 << rank:
+            kept.append(i)
     full = (1 << universe_size) - 1
     union = 0
     for j in kept:
@@ -162,14 +178,24 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
         covered |= masks[best]
 
     witness = 0  # the last cover the kernel found, once there is one
+    floor = 0  # the largest size known to have no cover
     try:
-        while optimum > 1:
+        # the counting bound first: far below the greedy size, one search at
+        # `lower` spares the descent every size in between
+        if lower <= optimum - 2:
+            found = coverable(full, lower, everything)
+            if found is None:
+                floor = lower
+            else:
+                witness, optimum = found, found.bit_count()
+        while optimum > floor + 1:
             smaller = coverable(full, optimum - 1, everything)
             if smaller is None:
                 break
             witness, optimum = smaller, smaller.bit_count()
     except BudgetExceeded as exc:
-        raise BudgetExceeded(f"{exc}: optimum in [{lower}, {optimum}]") from None
+        low = max(lower, floor + 1)
+        raise BudgetExceeded(f"{exc}: optimum in [{low}, {optimum}]") from None
 
     # lex-least certificate: at each position the smallest candidate after
     # the previous one whose remainder still fits in the members left.  Once

@@ -117,7 +117,9 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     infinite (and for finite G the converse holds, so the solver only runs
     on feasible instances).  Candidates are the inclusion-maximal embeddable
     subgroups, found by one descending lattice pass: anything inside an
-    embeddable subgroup embeds too, so it is skipped without a search.
+    embeddable subgroup embeds too, so it is skipped without a search.  A
+    subgroup lies inside one found so far when the bitsets of those holding
+    each of its elements have a nonzero AND.
     """
     w = embeds(g, h)
     if w is not None:
@@ -131,16 +133,24 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
         raise CheckFailed(f"cyclic {g.label} has the spectrum of {h.label} but did not embed")
     lat = all_subgroups(g)
     admissible: list[tuple[Subgroup, tuple[int, ...]]] = []
+    # inside[x]: bitset of the admissible indices whose subgroup holds x
+    inside = [0] * g.order
     for s in reversed(lat.all):
-        if s.order == g.order:
+        if s.order == g.order or h.order % s.order:
             continue
-        if any(m.contains(s) for m, _ in admissible):
-            continue
-        if h.order % s.order:
-            continue
+        holders = -1
+        for x in s.members:
+            holders &= inside[x]
+            if not holders:
+                break
+        if holders:
+            continue  # inside an admissible subgroup, so it embeds too
         sub, _ = as_group(g, s)
         ws = embeds(sub, h)
         if ws is not None:
+            bit = 1 << len(admissible)
+            for x in s.members:
+                inside[x] |= bit
             admissible.append((s, ws))
     admissible.sort(key=lambda t: t[0].sort_key())
     candidates = [s for s, _ in admissible]
@@ -179,7 +189,7 @@ def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
     for i in range(len(subs)):
         for j in range(i + 1, len(subs)):
             joined = closure(g, subs[i].members | subs[j].members)
-            if joined.order == g.order:
+            if joined.order == g.order or h.order % joined.order:
                 continue
             sub, _ = as_group(g, joined)
             if embeds(sub, h) is not None:

@@ -9,7 +9,10 @@ Every join goes through one kernel, `_join`: the join of a subgroup S with
 so only coset representatives are multiplied by the generators of S and c.
 The lattice keeps a generating list per subgroup for this; each list has at
 most log2|G| entries, because every join that adds an element at least
-doubles the order.
+doubles the order.  When [S v <c> : S] is prime, no subgroup lies strictly
+between S and J = S v <c>, so every atom inside J joins S to J again; the
+lattice skips those joins, which leaves what it finds, and in which order,
+unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetExceeded
-from .groups import INFINITE, ExtNat, FiniteGroup, _finalize, finite
+from .groups import INFINITE, ExtNat, FiniteGroup, _finalize, _is_prime, finite
 
 DEFAULT_MAX_SUBGROUPS = 200_000
 
@@ -148,7 +151,8 @@ def all_subgroups(
     reached by: one generator per cyclic atom adjoined on the way.  A join
     that finds a new subgroup at least doubles the order, so no list exceeds
     log2|G| entries, and `_join` closes S v <c> as a union of right cosets
-    of S in about |S v <c>| table lookups.
+    of S in about |S v <c>| table lookups.  Atoms inside a join of prime
+    index over S are skipped for S: they would return that join again.
     """
     table = g.table
     cyclics = cyclic_subgroups(g)
@@ -170,10 +174,13 @@ def all_subgroups(
                 continue
             smembers = s.members
             sgens = gens[smask]
+            settled = 0  # union of the joins found so far of prime index over S
             for cmask, c in atoms:
-                if cmask & ~smask == 0:
+                if cmask & ~smask == 0 or settled >> c & 1:
                     continue
                 members, mask, jgens = _join(table, smembers, smask, sgens, c)
+                if _is_prime(len(members) // s.order):
+                    settled |= mask
                 if mask in known:
                     continue
                 sub = make_subgroup(g, members)

@@ -189,6 +189,13 @@ def test_printed_certificate_revalidates(capsys):
     assert validate_optimal_ic_certificate(report)
 
 
+def test_ic_c2_7_into_c2_3_under_a_small_budget(capsys):
+    # the counting-bound probe finds a 19-cover at once, so the search never
+    # descends from the greedy size
+    code, out, _ = run(capsys, "ic", "C2^7", "C2^3", "--budget", "1000")
+    assert code == 0 and out.strip() == "19"
+
+
 # ---------------------------------------------------------------------------
 # lattice and embeds commands
 # ---------------------------------------------------------------------------

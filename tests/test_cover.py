@@ -26,6 +26,25 @@ def exhaustive_min_cover(inst):
     return None
 
 
+def reference_make_instance(universe_size, candidate_sets):
+    """The earlier quadratic dominance filter: each set is checked against
+    the sets kept so far, and evicts the kept sets it contains."""
+    masks = [sum(1 << p for p in s) for s in candidate_sets]
+    kept = []
+    for i, m in enumerate(masks):
+        if m == 0:
+            continue
+        if any(masks[j] | m == masks[j] for j in kept):
+            continue  # duplicate or dominated by an already-kept set
+        kept = [j for j in kept if masks[j] | m != m]
+        kept.append(i)
+    kept.sort()
+    union = 0
+    for j in kept:
+        union |= masks[j]
+    return tuple(kept), tuple(masks[j] for j in kept), union == (1 << universe_size) - 1
+
+
 def reference_min_cover(inst):
     """The earlier two-phase solver, unbudgeted: branch and bound for the
     value, then a lexicographic DFS for the certificate."""
@@ -173,6 +192,29 @@ def test_matches_reference_solver_on_larger_instances():
         assert min_cover(inst) == reference_min_cover(inst)
 
 
+def test_dominance_filter_matches_quadratic_reference():
+    rng = random.Random(0xD0E5)
+    for _ in range(1500):
+        universe = rng.randint(1, 12)
+        sets = []
+        for _ in range(rng.randint(0, 30)):
+            kind = rng.random() if sets else 0.0
+            if kind < 0.1:
+                s = set()
+            elif kind < 0.4:
+                s = set(rng.sample(range(universe), rng.randint(1, universe)))
+            elif kind < 0.6:
+                s = set(rng.choice(sets))  # duplicate
+            elif kind < 0.8:
+                base = sorted(rng.choice(sets))  # nested inside an earlier set
+                s = set(rng.sample(base, rng.randint(0, len(base))))
+            else:
+                s = set(rng.choice(sets)) | {rng.randrange(universe)}  # nesting one
+            sets.append(frozenset(s))
+        inst = make_instance(universe, sets)
+        assert (inst.kept, inst.masks, inst.feasible) == reference_make_instance(universe, sets)
+
+
 class _Captured(Exception):
     pass
 
@@ -203,3 +245,14 @@ def test_budget_exhaustion_raises():
     greedy_misses = make_instance(6, [{0, 1, 2, 3}, {0, 2, 4}, {1, 3, 5}])
     with pytest.raises(BudgetExceeded, match=r"budget: optimum in \[2, 3\]"):
         min_cover(greedy_misses, node_budget=1)
+
+
+def test_failed_counting_probe_raises_the_floor():
+    # counting bound 2, greedy 4: the probe rules out a 2-cover in two nodes,
+    # so a budget spent in the descent reports the optimum from 3 up
+    inst = make_instance(6, [{0, 1, 2}, {3}, {4}, {5}])
+    with pytest.raises(BudgetExceeded, match=r"budget: optimum in \[2, 4\]"):
+        min_cover(inst, node_budget=1)
+    with pytest.raises(BudgetExceeded, match=r"budget: optimum in \[3, 4\]"):
+        min_cover(inst, node_budget=2)
+    assert min_cover(inst) == CoverSolution(finite(4), (0, 1, 2, 3))

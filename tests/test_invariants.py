@@ -231,6 +231,39 @@ def test_ic_certificate_passes_optimality_validator():
         assert validate_optimal_ic_certificate(report)
 
 
+# Beutelspacher (1979): C2^7 is covered by 19 subspaces of dimension 3 and
+# by no fewer.  Masks of the lexicographically least certificate.
+C2_7_INTO_C2_3_MASKS = (
+    0xFF,
+    0xF0F,
+    0xF00F,
+    0x10001000100010001000100010001,
+    0x20004001000800040002000080001,
+    0x40008010002000800040000020001,
+    0x80002100040002000800000040001,
+    0x100100004004004000000410000001,
+    0x200400000420000100008080000001,
+    0x400800400000080020010020000001,
+    0x800200040000100008200040000001,
+    0x1001000080080000080000800100001,
+    0x2004000800001000002004000800001,
+    0x4008000000800401000020000200001,
+    0x8002000008000020400100000400001,
+    0x10000010200000200200000201000001,
+    0x20000040020000048000001008000001,
+    0x40000080002010000004080002000001,
+    0x80000020000208000010400004000001,
+)
+
+
+def test_ic_c2_7_into_c2_3_is_nineteen():
+    report = ic(build(Power(Cyclic(2), 7)), build(Power(Cyclic(2), 3)))
+    assert report.value == finite(19)
+    assert tuple(e.subgroup.mask for e in report.certificate) == C2_7_INTO_C2_3_MASKS
+    assert certificate_sound(report)
+    assert validate_optimal_ic_certificate(report)
+
+
 def test_optimality_validator_rejects_containment():
     g = build(Power(Cyclic(2), 2))
     h = build(Cyclic(2))

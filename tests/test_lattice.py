@@ -21,6 +21,9 @@ from grpinv.groups import (
     finite,
 )
 from grpinv.lattice import (
+    Subgroup,
+    SubgroupLattice,
+    _join,
     all_proper_subgroups_cyclic,
     all_subgroups,
     as_group,
@@ -133,6 +136,78 @@ def divisor_sum(n):
 )
 def test_subgroup_counts_match_closed_forms(spec, count):
     assert len(all_subgroups(build(spec)).all) == count
+
+
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "p,n,count",
+    [(2, 5, 374), (2, 6, 2825), (3, 4, 212), (5, 3, 64), (2, 7, 29212)],
+    ids=["C2^5", "C2^6", "C3^4", "C5^3", "C2^7"],
+)
+def test_elementary_abelian_subgroup_counts(p, n, count):
+    # the subgroups of C_p^n are the subspaces of GF(p)^n
+    assert sum(gaussian_binomial(n, k, p) for k in range(n + 1)) == count
+    assert len(all_subgroups(build(Power(Cyclic(p), n))).all) == count
+
+
+def reference_all_subgroups(g):
+    """The join loop without the prime-index skip: every subgroup is joined
+    with every cyclic atom it does not contain."""
+    cyclics = cyclic_subgroups(g)
+    atoms = [
+        (c.mask, next(a for a in c.members if g.elem_order[a] == c.order))
+        for c in cyclics
+        if c.order > 1
+    ]
+    known = {c.mask: c for c in cyclics}
+    gens = {mask: [a] for mask, a in atoms}
+    gens[1] = []
+    frontier = list(cyclics)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for cmask, c in atoms:
+                if cmask & ~s.mask == 0:
+                    continue
+                members, mask, jgens = _join(g.table, s.members, s.mask, gens[s.mask], c)
+                if mask not in known:
+                    known[mask] = make_subgroup(g, members)
+                    gens[mask] = jgens
+                    fresh.append(known[mask])
+        frontier = fresh
+    ordered = sorted(known.values(), key=Subgroup.sort_key)
+    position = {s.mask: i for i, s in enumerate(ordered)}
+    proper = [s for s in ordered if s.is_proper]
+    return SubgroupLattice(
+        tuple(ordered),
+        tuple(position[s.mask] for s in maximal_filter(proper)),
+        tuple(position[s.mask] for s in maximal_filter(ordered, restrict_to_cyclic=True)),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        S4,
+        Dihedral(12),
+        Product(GeneralizedQuaternion(8), Power(Cyclic(2), 2)),
+        Power(Cyclic(2), 5),
+        Power(Cyclic(3), 3),
+        Product(Power(Cyclic(2), 2), Cyclic(4)),
+    ],
+    ids=["S4", "D12", "Q8xC2^2", "C2^5", "C3^3", "C2^2xC4"],
+)
+def test_prime_index_skip_matches_unskipped_joins(spec):
+    g = build(spec)
+    assert all_subgroups(g) == reference_all_subgroups(g)
 
 
 CLOSURE_GROUPS = tuple(
