@@ -4,11 +4,15 @@ Elements are integers 0..n-1 with the identity fixed at 0.  Construction is
 deterministic: a given spec always realizes the same table, so certificates
 and JSON output are reproducible across runs.  Every table is validated
 before it becomes a group, associativity included, exhaustively at every
-order (Light's test over a generating set; see `_validate_table`).
+order (Light's test over a generating set; see `_validate_table`).  Groups
+are identified by their tables: equal tables validate once and make equal
+groups (see `_finalize`).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import chain
@@ -18,6 +22,9 @@ from .errors import InvalidSpec, OrderLimitExceeded
 
 DEFAULT_MAX_ORDER = 128
 HARD_MAX_ORDER = 512
+# Entries kept by each content-keyed cache: the table store below and the
+# lattice, embedding and cyclic-spectrum caches keyed on groups.
+CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +272,29 @@ def spec_text(spec: GroupSpec) -> str:
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Immutable Cayley-table group; safe to share across threads."""
+    """Immutable Cayley-table group; safe to share across threads.
+
+    Groups are equal when their tables are.  The label names one view of a
+    table and takes no part in equality, so caches keyed on groups hit
+    across relabelled copies while each copy prints its own label.
+    `table_hash` is hash(table), computed once per stored table.
+    """
 
     label: str
     order: int
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     elem_order: tuple[int, ...]
+    table_hash: int
     identity: int = 0
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self.table is other.table or self.table == other.table
+
+    def __hash__(self) -> int:
+        return self.table_hash
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -355,28 +377,55 @@ def _validate_table(label: str, table: list[list[int]]) -> tuple[tuple[int, ...]
     return rows
 
 
+# Validated tables by content, least recently used first: rows -> (rows,
+# inverse, element orders, hash of rows).
+_STORE: OrderedDict[tuple[tuple[int, ...], ...], tuple] = OrderedDict()
+_STORE_LOCK = threading.Lock()
+
+
 def _finalize(label: str, table: list[list[int]]) -> FiniteGroup:
-    rows = _validate_table(label, table)
-    n = len(rows)
-    inverse = []
-    for a, row in enumerate(rows):
-        if 0 not in row:
-            raise ValueError(f"{label}: element {a} has no inverse")
-        inverse.append(row.index(0))
-    orders = [0] * n
-    for a in range(n):
-        x = a
-        m = 1
-        while x != 0:
-            x = rows[x][a]
-            m += 1
-        orders[a] = m
+    """The group on `table`, labelled `label`.
+
+    A table is validated, and its inverses and element orders derived, the
+    first time it is seen; the result is kept in a store of the last
+    CACHE_SIZE tables, and every later group on an equal table shares it,
+    rows included, so that equality is mostly an identity test.  Only
+    tables that passed validation enter the store.
+    """
+    key = tuple(map(tuple, table))
+    with _STORE_LOCK:
+        entry = _STORE.get(key)
+        if entry is not None:
+            _STORE.move_to_end(key)
+    if entry is None:
+        rows = _validate_table(label, key)
+        n = len(rows)
+        inverse = []
+        for a, row in enumerate(rows):
+            if 0 not in row:
+                raise ValueError(f"{label}: element {a} has no inverse")
+            inverse.append(row.index(0))
+        orders = [0] * n
+        for a in range(n):
+            x = a
+            m = 1
+            while x != 0:
+                x = rows[x][a]
+                m += 1
+            orders[a] = m
+        entry = (rows, tuple(inverse), tuple(orders), hash(rows))
+        with _STORE_LOCK:
+            _STORE[rows] = entry
+            if len(_STORE) > CACHE_SIZE:
+                _STORE.popitem(last=False)
+    rows, inverse, orders, table_hash = entry
     return FiniteGroup(
         label=label,
-        order=n,
+        order=len(rows),
         table=rows,
-        inverse=tuple(inverse),
-        elem_order=tuple(orders),
+        inverse=inverse,
+        elem_order=orders,
+        table_hash=table_hash,
     )
 
 

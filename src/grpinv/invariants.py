@@ -60,18 +60,22 @@ class InvariantReport:
         return (self.group.label, self.target.label)
 
 
-def _covers_point(candidate: Subgroup, point: Subgroup) -> bool:
-    return candidate.contains(point)
+def _point_sets(g: FiniteGroup, universe, candidates) -> list[frozenset[int]]:
+    """For each candidate, the indices of the universe points it contains.
+
+    A point is a cyclic subgroup <x>, and a subgroup contains <x> exactly
+    when it holds x, so each candidate's set comes from its members through
+    a map from one generator per point to that point's index.
+    """
+    point = {
+        next(x for x in pt.members if g.elem_order[x] == pt.order): j
+        for j, pt in enumerate(universe)
+    }
+    return [frozenset(point[x] for x in c.members if x in point) for c in candidates]
 
 
 def _solve(kind, g, target, universe, candidates, entries, node_budget):
-    inst = make_instance(
-        len(universe),
-        [
-            frozenset(j for j, pt in enumerate(universe) if _covers_point(c, pt))
-            for c in candidates
-        ],
-    )
+    inst = make_instance(len(universe), _point_sets(g, universe, candidates))
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:
         return InvariantReport(kind, g, target, INFINITE, None, "no_cover")

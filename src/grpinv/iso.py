@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .errors import CheckFailed
-from .groups import FiniteGroup
+from .groups import CACHE_SIZE, FiniteGroup
 from .lattice import all_subgroups, as_group, closure, cyclic_subgroups
 
 EmbeddingWitness = tuple[int, ...]
@@ -88,6 +88,7 @@ def _extend(g, h, phi, elems, used, new_elem, image):
     return phi, elems, used
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _cyclic_order_multiset(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(s.order for s in cyclic_subgroups(g)))
 
@@ -146,14 +147,15 @@ def is_embedding(k: FiniteGroup, h: FiniteGroup, phi: EmbeddingWitness) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def embeds(k: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
     """Witness injective homomorphism K -> H, or None.
 
     Enumerates H's subgroups of order |K| (the lattice is shared with the
     cover computations) and composes a found isomorphism with the inclusion.
-    Cached per group pair: the invariant fast paths and the sweep checkers
-    ask the same question repeatedly.
+    Cached per pair of tables: the invariant fast paths, the descending
+    pass of `ic` and the sweep checkers ask the same question repeatedly,
+    often of relabelled copies of one group.
     """
     if k.order > h.order or h.order % k.order:
         return None

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetExceeded
-from .groups import INFINITE, ExtNat, FiniteGroup, _finalize, _is_prime, finite
+from .groups import CACHE_SIZE, INFINITE, ExtNat, FiniteGroup, _finalize, _is_prime, finite
 
 DEFAULT_MAX_SUBGROUPS = 200_000
 
@@ -139,7 +139,7 @@ def maximal_filter(subgroups, restrict_to_cyclic: bool = False) -> list[Subgroup
     return kept
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def all_subgroups(
     g: FiniteGroup, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 ) -> SubgroupLattice:
@@ -153,6 +153,7 @@ def all_subgroups(
     log2|G| entries, and `_join` closes S v <c> as a union of right cosets
     of S in about |S v <c>| table lookups.  Atoms inside a join of prime
     index over S are skipped for S: they would return that join again.
+    Cached by table, so relabelled copies of a group share one lattice.
     """
     table = g.table
     cyclics = cyclic_subgroups(g)

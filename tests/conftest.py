@@ -1,0 +1,13 @@
+import pytest
+
+from grpinv import groups, iso, lattice
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the table store and every content-keyed cache, so the test
+    computes everything again instead of reusing an earlier test's results."""
+    groups._STORE.clear()
+    lattice.all_subgroups.cache_clear()
+    iso.embeds.cache_clear()
+    iso._cyclic_order_multiset.cache_clear()

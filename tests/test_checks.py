@@ -15,6 +15,10 @@ from grpinv.groups import Cyclic, Dihedral, GeneralizedQuaternion, PermGroup, Po
 from grpinv.invariants import ic, sigma
 from grpinv.iso import are_isomorphic, embeds
 
+# Each sabotaged gate has to run: a witness or lattice cached by an earlier
+# test would answer without reaching it.
+pytestmark = pytest.mark.usefixtures("fresh_caches")
+
 
 def reject_all(*_args):
     return False

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from grpinv import groups
 from grpinv.errors import InvalidSpec, OrderLimitExceeded
 from grpinv.groups import (
     INFINITE,
@@ -211,12 +212,16 @@ def test_finalize_rejects_non_groups(table, message):
 def test_associativity_is_checked_above_order_128():
     # Swapping two products in row 1 of D128 breaks associativity at a tiny
     # share of the n^3 triples, which sampling 512 of them missed.
+    # The valid table is stored first, so the corrupted one must not be
+    # mistaken for it.
     d128 = build(Dihedral(128), max_order=512)
     rows = [list(r) for r in d128.table]
     assert _finalize("D128", rows).table == d128.table
+    assert d128.table in groups._STORE
     rows[1][1], rows[1][2] = rows[1][2], rows[1][1]
     with pytest.raises(ValueError, match="not associative"):
         _finalize("D128'", rows)
+    assert tuple(map(tuple, rows)) not in groups._STORE
 
 
 def naive_associative(t):

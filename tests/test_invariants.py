@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from grpinv import invariants
+from grpinv.cli import parse_spec
 from grpinv.corpus import corpus
 from grpinv.errors import BudgetExceeded, InvalidPartition
 from grpinv.groups import (
@@ -262,6 +264,45 @@ def test_ic_c2_7_into_c2_3_is_nineteen():
     assert tuple(e.subgroup.mask for e in report.certificate) == C2_7_INTO_C2_3_MASKS
     assert certificate_sound(report)
     assert validate_optimal_ic_certificate(report)
+
+
+S4 = "Perm[(1 2 3 4);(1 2)]"
+# Non-abelian groups of order 24-120, and abelian IC instances with
+# hundreds of candidates.
+POINT_SET_GROUPS = (
+    S4, "Perm[(1 2 3);(3 4 5)]", "Perm[(1 2 3 4 5);(1 2)]", "D24", "D32", "D48",
+    "SD(7,3)xC3", "D5xC2^2", "D3xD3", S4 + "xC2",
+)
+POINT_SET_IC_PAIRS = (
+    ("C2^6", "C2^4"), ("C2^4xC4", "C2^2xC4"), ("C2^2xC4^2", "C4^2"), ("C2^5", "C2^3"),
+    ("C3^4", "C3^2"), ("C2^3xC4", "C4xC2"), ("C5^3", "C5"),
+)
+
+
+def test_point_sets_match_the_containment_test(monkeypatch):
+    """Each candidate's points, found through its members, against testing
+    every point for containment."""
+    calls = 0
+    real = invariants._point_sets
+
+    def checked(g, universe, candidates):
+        nonlocal calls
+        calls += 1
+        got = real(g, universe, candidates)
+        want = [
+            frozenset(j for j, pt in enumerate(universe) if c.contains(pt)) for c in candidates
+        ]
+        assert got == want
+        return got
+
+    monkeypatch.setattr(invariants, "_point_sets", checked)
+    for spec in POINT_SET_GROUPS:
+        g = build(parse_spec(spec))
+        sigma(g)
+        sigma_c(g)
+    for gspec, hspec in POINT_SET_IC_PAIRS:
+        ic(build(parse_spec(gspec)), build(parse_spec(hspec)))
+    assert calls == 2 * len(POINT_SET_GROUPS) + len(POINT_SET_IC_PAIRS)
 
 
 def test_optimality_validator_rejects_containment():
