@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, lru_cache, partial
 
 from . import invariants as inv
@@ -26,6 +26,7 @@ from .groups import (
     GroupSpec,
     Power,
     Product,
+    Record,
     SemidirectPQ,
     _is_prime,
     build,
@@ -58,19 +59,14 @@ DEFAULT_SUITE_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    status: str  # "pass" | "fail" | "flag" | "skip"
-    detail: str = ""
-    elapsed: float = 0.0
+class CheckResult(
+    Record, namedtuple("CheckResult", "suite name status detail elapsed", defaults=("", 0.0))
+):
+    __slots__ = ()  # status: "pass" | "fail" | "flag" | "skip"
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    spec: GroupSpec
-    group: FiniteGroup
+class CorpusEntry(Record, namedtuple("CorpusEntry", "spec group")):
+    __slots__ = ()
 
 
 def _atom_specs(bound: int) -> list[GroupSpec]:
@@ -482,11 +478,16 @@ SUITES = {
 }
 
 
-@dataclass
-class VerifyReport:
-    results: list[CheckResult] = field(default_factory=list)
-    certificates_checked: int = 0
-    certificate_failures: list[str] = field(default_factory=list)
+class VerifyReport(
+    Record,
+    namedtuple(
+        "VerifyReport", "results certificates_checked certificate_failures", defaults=((), 0, ())
+    ),
+):
+    """results: the CheckResults in suite order; certificate_failures: one
+    line per unsound certificate."""
+
+    __slots__ = ()
 
     @property
     def failed(self) -> list[CheckResult]:
@@ -511,10 +512,8 @@ def run_suites(
         if n not in SUITES:
             raise ValueError(f"unknown suite {n!r} (choose from {', '.join(SUITE_NAMES)})")
     ctx = SweepContext(node_budget)
-    report = VerifyReport()
+    results: list[CheckResult] = []
     for n in names:
         bound = max_order if max_order is not None else DEFAULT_SUITE_BOUNDS[n]
-        report.results.extend(SUITES[n](ctx, bound))
-    report.certificates_checked = ctx.certificates_checked
-    report.certificate_failures = list(ctx.certificate_failures)
-    return report
+        results.extend(SUITES[n](ctx, bound))
+    return VerifyReport(results, ctx.certificates_checked, list(ctx.certificate_failures))

@@ -27,24 +27,23 @@ reached, never a non-optimal answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceeded, CheckFailed
-from .groups import INFINITE, ExtNat, finite
+from .groups import INFINITE, ExtNat, Record, finite
 
 DEFAULT_NODE_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class CoverInstance:
+class CoverInstance(
+    Record, namedtuple("CoverInstance", "universe_size candidates masks kept feasible")
+):
     """Candidates are duplicate-free with dominated (subset) sets removed,
-    preserving first occurrence; `kept` maps back to caller positions."""
+    preserving first occurrence; `kept` maps back to caller positions.
+    `candidates` holds frozensets of points, `masks` the same sets as
+    bitmasks."""
 
-    universe_size: int
-    candidates: tuple[frozenset[int], ...]
-    masks: tuple[int, ...]
-    kept: tuple[int, ...]
-    feasible: bool
+    __slots__ = ()
 
 
 def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
@@ -86,10 +85,8 @@ def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
     )
 
 
-@dataclass(frozen=True)
-class CoverSolution:
-    value: ExtNat
-    certificate: tuple[int, ...] | None  # indices into instance candidates
+class CoverSolution(Record, namedtuple("CoverSolution", "value certificate")):
+    __slots__ = ()  # certificate: indices into instance candidates, or None
 
 
 class _Budget:

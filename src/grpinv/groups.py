@@ -12,9 +12,8 @@ groups (see `_finalize`).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from functools import total_ordering
+from collections import OrderedDict, namedtuple
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -28,23 +27,46 @@ CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class Record(tuple):
+    """Equality for immutable records built on `namedtuple`.
+
+    A record class lists it before its namedtuple base, e.g.
+    `class Cyclic(Record, namedtuple("Cyclic", "n")): __slots__ = ()`.  Records
+    equal only records of their own class with equal fields, so Cyclic(4) is
+    not Dihedral(4), nor the plain tuple (4,); they hash by their fields.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+# ---------------------------------------------------------------------------
 # Extended naturals: the value domain of sigma, sigma_c and IC
 # ---------------------------------------------------------------------------
 
-@total_ordering
-@dataclass(frozen=True)
-class ExtNat:
+class ExtNat(Record, namedtuple("ExtNat", "value")):
     """A positive integer or infinity (encoded as value=None).
 
     Total order puts every finite value below infinity; multiplication and
     addition are absorbing at infinity.
     """
 
-    value: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value is not None and self.value < 1:
-            raise ValueError(f"ExtNat must be positive or infinite, got {self.value}")
+    def __new__(cls, value: int | None):
+        if value is not None and value < 1:
+            raise ValueError(f"ExtNat must be positive or infinite, got {value}")
+        return super().__new__(cls, value)
 
     @property
     def is_finite(self) -> bool:
@@ -56,6 +78,15 @@ class ExtNat:
         if other.value is None:
             return True
         return self.value < other.value
+
+    def __gt__(self, other: "ExtNat") -> bool:
+        return other < self
+
+    def __le__(self, other: "ExtNat") -> bool:
+        return not other < self
+
+    def __ge__(self, other: "ExtNat") -> bool:
+        return not self < other
 
     def __mul__(self, other: "ExtNat") -> "ExtNat":
         if self.value is None or other.value is None:
@@ -82,44 +113,33 @@ def finite(k: int) -> ExtNat:
 # Group specs (abstract syntax)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cyclic:
-    n: int
+class Cyclic(Record, namedtuple("Cyclic", "n")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Dihedral:
-    n: int  # order 2n, n >= 3
+class Dihedral(Record, namedtuple("Dihedral", "n")):
+    __slots__ = ()  # order 2n, n >= 3
 
 
-@dataclass(frozen=True)
-class GeneralizedQuaternion:
-    order: int  # 2^k, k >= 3
+class GeneralizedQuaternion(Record, namedtuple("GeneralizedQuaternion", "order")):
+    __slots__ = ()  # order 2^k, k >= 3
 
 
-@dataclass(frozen=True)
-class SemidirectPQ:
-    q: int
-    p: int  # p < q primes, p | q-1
+class SemidirectPQ(Record, namedtuple("SemidirectPQ", "q p")):
+    __slots__ = ()  # p < q primes, p | q-1
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "GroupSpec"
-    right: "GroupSpec"
+class Product(Record, namedtuple("Product", "left right")):
+    __slots__ = ()  # two GroupSpecs
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "GroupSpec"
-    exponent: int
+class Power(Record, namedtuple("Power", "base exponent")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Record, namedtuple("PermGroup", "generators degree")):
     # cycles per generator, 1-based points, e.g. (((1,2,3),), ((1,2),))
-    generators: tuple[tuple[tuple[int, ...], ...], ...]
-    degree: int
+    __slots__ = ()
 
 
 GroupSpec = (
@@ -270,8 +290,11 @@ def spec_text(spec: GroupSpec) -> str:
 # FiniteGroup
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(
+    namedtuple(
+        "FiniteGroup", "label order table inverse elem_order table_hash identity", defaults=(0,)
+    )
+):
     """Immutable Cayley-table group; safe to share across threads.
 
     Groups are equal when their tables are.  The label names one view of a
@@ -280,18 +303,15 @@ class FiniteGroup:
     `table_hash` is hash(table), computed once per stored table.
     """
 
-    label: str
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    elem_order: tuple[int, ...]
-    table_hash: int
-    identity: int = 0
+    __slots__ = ()
 
     def __eq__(self, other):
-        if not isinstance(other, FiniteGroup):
-            return NotImplemented
-        return self.table is other.table or self.table == other.table
+        return isinstance(other, FiniteGroup) and (
+            self.table is other.table or self.table == other.table
+        )
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self) -> int:
         return self.table_hash
@@ -484,7 +504,16 @@ def build_semidirect_pq(q: int, p: int) -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> FiniteGroup:
-    """Component-wise product; (a,b) is indexed a*|h| + b."""
+    """Component-wise product; (a,b) is indexed a*|h| + b.
+
+    The table is built once per pair of factor tables (see `_product`); each
+    call returns a view of it under its own label.
+    """
+    return _product(g, h)._replace(label=label or f"{g.label} x {h.label}")
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
     table = [[0] * (n * m) for _ in range(n * m)]
     gt, ht = g.table, h.table
@@ -497,7 +526,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> 
                 base = ga[c] * m
                 for d in range(m):
                     row[c * m + d] = base + hb[d]
-    return _finalize(label or f"{g.label} x {h.label}", table)
+    return _finalize(f"{g.label} x {h.label}", table)
 
 
 def _identity_perm(d: int) -> tuple[int, ...]:

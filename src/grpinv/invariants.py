@@ -8,7 +8,7 @@ point per maximal cyclic subgroup is enough and the optimum is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cover import DEFAULT_NODE_BUDGET, make_instance, min_cover, validate_cover
 from .errors import CheckFailed, InvalidPartition
@@ -18,6 +18,7 @@ from .groups import (
     ExtNat,
     FiniteGroup,
     GeneralizedQuaternion,
+    Record,
     _is_prime,
     build,
     direct_product,
@@ -34,24 +35,27 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class CertEntry:
+class CertEntry(Record, namedtuple("CertEntry", "subgroup embedding", defaults=(None,))):
     """One cover member; embedding[i] is the image in the target group of
     subgroup.sorted_members[i] (present only for IC certificates)."""
 
-    subgroup: Subgroup
-    embedding: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    kind: str  # "sigma" | "sigma_c" | "ic"
-    group: FiniteGroup
-    target: FiniteGroup | None
-    value: ExtNat
-    certificate: tuple[CertEntry, ...] | None
-    infiniteness_reason: str | None = None  # "G_cyclic" | "spectrum_gap" | "no_cover"
-    missing_order: int | None = None
+class InvariantReport(
+    Record,
+    namedtuple(
+        "InvariantReport",
+        "kind group target value certificate infiniteness_reason missing_order",
+        defaults=(None, None),
+    ),
+):
+    """kind is "sigma", "sigma_c" or "ic"; target is None unless kind is
+    "ic"; certificate is a tuple of CertEntry, or None when the value is
+    infinite; infiniteness_reason is "G_cyclic", "spectrum_gap" or
+    "no_cover"."""
+
+    __slots__ = ()
 
     @property
     def operands(self) -> tuple[str, ...]:

@@ -18,23 +18,17 @@ unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetExceeded
-from .groups import CACHE_SIZE, INFINITE, ExtNat, FiniteGroup, _finalize, _is_prime, finite
+from .groups import CACHE_SIZE, INFINITE, ExtNat, FiniteGroup, Record, _finalize, _is_prime, finite
 
 DEFAULT_MAX_SUBGROUPS = 200_000
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    members: frozenset[int]
-    order: int
-    parent_order: int
-    mask: int
-    is_cyclic: bool
+class Subgroup(Record, namedtuple("Subgroup", "members order parent_order mask is_cyclic")):
+    __slots__ = ()  # members: frozenset[int]; mask: the members as a bitmask
 
     def contains(self, other: "Subgroup") -> bool:
         return other.mask & self.mask == other.mask
@@ -61,11 +55,10 @@ def make_subgroup(g: FiniteGroup, members) -> Subgroup:
     return Subgroup(members, order, g.order, mask, cyclic)
 
 
-@dataclass(frozen=True)
-class SubgroupLattice:
-    all: tuple[Subgroup, ...]
-    maximal: tuple[int, ...]          # indices of maximal proper subgroups
-    maximal_cyclic: tuple[int, ...]   # indices of maximal-among-cyclic subgroups
+class SubgroupLattice(Record, namedtuple("SubgroupLattice", "all maximal maximal_cyclic")):
+    # all: tuple[Subgroup, ...] in canonical order; maximal: indices of the
+    # maximal proper subgroups; maximal_cyclic: of the maximal-among-cyclic ones
+    __slots__ = ()
 
     @property
     def maximal_subgroups(self) -> tuple[Subgroup, ...]:
@@ -213,17 +206,20 @@ def totient_cover_bound(g: FiniteGroup) -> ExtNat:
 
     Counts the nontrivial proper cyclic subgroups of a noncyclic group (each
     cyclic subgroup of order d has phi(d) generators), hence an upper bound
-    for the cyclic covering number.  Infinite for cyclic groups, matching
-    sigma_c.
+    for the cyclic covering number.  Summed per order d as (number of
+    elements of order d) / phi(d), which must divide exactly.  Infinite for
+    cyclic groups, matching sigma_c.
     """
     if g.is_cyclic:
         return INFINITE
-    total = Fraction(0)
-    for a in range(1, g.order):
-        total += Fraction(1, _totient(g.elem_order[a]))
-    if total.denominator != 1:
-        raise ValueError(f"{g.label}: totient sum {total} is not an integer")
-    return finite(int(total))
+    orders = g.elem_order[1:]
+    total = 0
+    for d in sorted(set(orders)):
+        count, rest = divmod(orders.count(d), _totient(d))
+        if rest:
+            raise ValueError(f"{g.label}: phi({d}) does not divide the elements of order {d}")
+        total += count
+    return finite(total)
 
 
 def _totient(n: int) -> int:
@@ -235,8 +231,16 @@ def as_group(g: FiniteGroup, s: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]
 
     Returns (subgroup as group, element map new index -> parent index);
     elements are reindexed by ascending parent index, keeping identity at 0.
+    The table is built once per (parent table, mask) (see `_subgroup_table`);
+    each call returns a view of it labelled after its own parent.
     """
-    elems = s.sorted_members
+    h, elems = _subgroup_table(g, s.mask)
+    return h._replace(label=f"{g.label}|{s.order}@{s.mask:x}"), elems
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _subgroup_table(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, tuple[int, ...]]:
+    elems = tuple(a for a in range(g.order) if mask >> a & 1)
     back = {a: i for i, a in enumerate(elems)}
     table = [[back[g.table[a][b]] for b in elems] for a in elems]
-    return _finalize(f"{g.label}|{s.order}@{s.mask:x}", table), elems
+    return _finalize(f"{g.label}|{len(elems)}@{mask:x}", table), elems

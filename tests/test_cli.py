@@ -312,16 +312,26 @@ _NO_NUMPY = (
 )
 
 
-def _python(script):
+def _python(script, *flags):
     src = os.path.dirname(os.path.dirname(os.path.abspath(grpinv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env
+    )
 
 
 def test_cli_import_loads_no_numpy():
-    proc = _python("import grpinv.cli, sys; print('numpy' in sys.modules)")
+    """Start-up stays lean: importing the CLI, without `site` so nothing else
+    is loaded first, pulls in neither numpy nor the heavy standard modules
+    (`dataclasses` brings `inspect`, `ast` and `tokenize`; `fractions` brings
+    `decimal`)."""
+    proc = _python(
+        "import grpinv.cli, sys\n"
+        "print(sorted({'numpy', 'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))",
+        "-S",
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_runs_without_numpy():

@@ -1,5 +1,6 @@
 """The content-keyed group store: each distinct table is validated once,
-equal tables make equal groups, and the store and caches keep to their cap."""
+equal tables make equal groups, relabelled views share one table, and the
+store and caches keep to their cap."""
 
 import itertools
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 
 from grpinv import groups, iso, lattice
 from grpinv.corpus import run_suites
-from grpinv.groups import CACHE_SIZE, Cyclic, Power, _finalize, build
+from grpinv.groups import CACHE_SIZE, Cyclic, Dihedral, Power, _finalize, build, direct_product
 from grpinv.iso import embeds
 from grpinv.lattice import all_subgroups, as_group
 
@@ -48,6 +49,31 @@ def test_equal_tables_make_equal_groups_with_their_own_labels():
     assert a.table is b.table
     assert all_subgroups(a) is all_subgroups(b)
     assert a != build(Cyclic(3)) and a != g
+    assert not a != b
+
+
+def test_relabelled_views_keep_their_labels_and_share_one_table():
+    g = build(Power(Cyclic(2), 3))
+    g2 = _finalize("another C2^3", [list(row) for row in g.table])
+    s = all_subgroups(g).all[-2]
+    (a, elems_a), (b, elems_b) = as_group(g, s), as_group(g2, s)
+    assert a.label == f"C2^3|{s.order}@{s.mask:x}"
+    assert b.label == f"another C2^3|{s.order}@{s.mask:x}"
+    assert a == b and a.table is b.table and elems_a == elems_b == s.sorted_members
+
+    c2, s3 = build(Cyclic(2)), build(Dihedral(3))
+    named = _finalize("two", [list(row) for row in c2.table])
+    p, q = direct_product(c2, s3), direct_product(named, s3)
+    assert (p.label, q.label) == ("C2 x D3", "two x D3")
+    assert p == q and p.table is q.table
+
+
+def test_direct_product_keeps_an_explicit_label():
+    c2, c3 = build(Cyclic(2)), build(Cyclic(3))
+    assert direct_product(c2, c3).label == "C2 x C3"
+    assert direct_product(c2, c3, label="C6 again").label == "C6 again"
+    assert direct_product(c2, c3).label == "C2 x C3"
+    assert build(Power(Cyclic(2), 2)).label == "C2^2"
 
 
 def _relabelled(table, perm):
@@ -60,7 +86,7 @@ def _relabelled(table, perm):
 
 
 def test_store_and_caches_keep_to_the_cap():
-    c8 = build(Cyclic(8))
+    c8, c2 = build(Cyclic(8)), build(Cyclic(2))
     tables = set()
     for perm in itertools.permutations(range(1, 8)):
         if len(tables) > CACHE_SIZE + 8:
@@ -71,9 +97,17 @@ def test_store_and_caches_keep_to_the_cap():
             continue
         tables.add(key)
         k = _finalize("C8'", table)
-        all_subgroups(k)
+        lat = all_subgroups(k)
         assert embeds(k, c8) is not None
-    caches = (all_subgroups, embeds, iso._cyclic_order_multiset)
+        assert as_group(k, lat.all[-2])[0].order == 4
+        assert direct_product(k, c2).order == 16
+    caches = (
+        all_subgroups,
+        embeds,
+        iso._cyclic_order_multiset,
+        lattice._subgroup_table,
+        groups._product,
+    )
     assert all(cached.cache_info().misses > CACHE_SIZE for cached in caches)
     assert len(groups._STORE) <= CACHE_SIZE
     assert all(cached.cache_info().currsize <= CACHE_SIZE for cached in caches)
