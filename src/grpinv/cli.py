@@ -140,8 +140,9 @@ def _parse_repeated(s: _Scanner) -> tuple[GroupSpec, int]:
 
 
 def parse_spec(text: str) -> GroupSpec:
-    """Parse a spec string; products come out left-folded (the ^ sugar
-    expands to repeated factors), matching normalize_spec's canonical form."""
+    """Parse a spec string.  A product comes out as one flat Product of its
+    factors (the ^ sugar expands to repeated factors), and a single factor as
+    the atom itself, matching normalize_spec's canonical form."""
     s = _Scanner(text)
     factors: list[GroupSpec] = []
     atom, count = _parse_repeated(s)
@@ -157,9 +158,7 @@ def parse_spec(text: str) -> GroupSpec:
     s.skip_ws()
     if s.pos != len(s.text):
         raise ParseError("trailing input", s.pos)
-    spec: GroupSpec = factors[0]
-    for f in factors[1:]:
-        spec = Product(spec, f)
+    spec = factors[0] if len(factors) == 1 else Product(tuple(factors))
     validate_spec(spec)
     return spec
 

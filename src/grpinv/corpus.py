@@ -24,7 +24,6 @@ from .groups import (
     FiniteGroup,
     GeneralizedQuaternion,
     GroupSpec,
-    Power,
     Product,
     Record,
     SemidirectPQ,
@@ -94,10 +93,7 @@ def corpus_specs(bound: int) -> list[GroupSpec]:
 
     def grow(start: int, order: int, factors: list[GroupSpec]):
         if len(factors) >= 2:
-            spec: GroupSpec = factors[0]
-            for f in factors[1:]:
-                spec = Product(spec, f)
-            products.append(spec)
+            products.append(Product(tuple(factors)))
         for i in range(start, len(nontrivial)):
             o = spec_order(nontrivial[i])
             if order * o > bound:
@@ -380,28 +376,27 @@ def suite_miller_moreno(ctx: SweepContext, bound: int) -> list[CheckResult]:
 
 def _example_rows():
     C = Cyclic
-    P = Power
     rows: list[tuple[str, str, object]] = []
     ic_rows = [
-        (P(C(2), 2), C(2), 3),
-        (P(C(2), 3), C(2), 7),
-        (P(C(3), 2), C(3), 4),
-        (P(C(3), 3), C(3), 13),
-        (P(C(3), 2), C(9), 4),
-        (P(C(2), 2), C(4), 3),
+        (Product((C(2),) * 2), C(2), 3),
+        (Product((C(2),) * 3), C(2), 7),
+        (Product((C(3),) * 2), C(3), 4),
+        (Product((C(3),) * 3), C(3), 13),
+        (Product((C(3),) * 2), C(9), 4),
+        (Product((C(2),) * 2), C(4), 3),
         (Dihedral(5), C(10), 6),
         (Dihedral(3), C(6), 4),
-        (P(C(2), 3), P(C(2), 2), 3),
-        (P(C(2), 4), P(C(2), 3), 3),
+        (Product((C(2),) * 3), Product((C(2),) * 2), 3),
+        (Product((C(2),) * 4), Product((C(2),) * 3), 3),
     ]
     for gspec, hspec, want in ic_rows:
         rows.append(("ic", f"{spec_text(gspec)};{spec_text(hspec)}", (gspec, hspec, want)))
     for p in (2, 3, 5):
-        rows.append(("sigma", f"C{p}^2", (P(C(p), 2), None, p + 1)))
-    rows.append(("sigma", "C3^3", (P(C(3), 3), None, 4)))
+        rows.append(("sigma", f"C{p}^2", (Product((C(p),) * 2), None, p + 1)))
+    rows.append(("sigma", "C3^3", (Product((C(3),) * 3), None, 4)))
     for p, n in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2)):
         rows.append(
-            ("sigmac", f"C{p}^{n}", (P(C(p), n), None, (p**n - 1) // (p - 1)))
+            ("sigmac", f"C{p}^{n}", (Product((C(p),) * n), None, (p**n - 1) // (p - 1)))
         )
     rows.append(("ic", "C4;C2", (C(4), C(2), "infinite")))
     for n in range(2, 17):
@@ -442,7 +437,7 @@ def _examples_cases(ctx: SweepContext, bound: int):
         yield "strict(totient_bound(Q8)>sigma_c(Q8))", strict_totient
 
     def strict_gap():
-        g = build(Power(Cyclic(3), 3))
+        g = build(Product((Cyclic(3),) * 3))
         icv = ctx.ic_value(g, build(Cyclic(3)))
         sv = ctx.sigma_value(g)
         ok = icv.is_finite and sv.is_finite and icv.value - sv.value == 9
@@ -457,7 +452,7 @@ def _examples_cases(ctx: SweepContext, bound: int):
         a = ctx.ic_value(build(Dihedral(3)), build(Cyclic(6)))
         b = ctx.ic_value(
             build(PermGroup((((1, 2, 3),), ((1, 2),)), 3)),
-            build(Product(Cyclic(2), Cyclic(3))),
+            build(Product((Cyclic(2), Cyclic(3)))),
         )
         return a == b, f"got {a} vs {b}"
 

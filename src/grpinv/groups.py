@@ -129,12 +129,8 @@ class SemidirectPQ(Record, namedtuple("SemidirectPQ", "q p")):
     __slots__ = ()  # p < q primes, p | q-1
 
 
-class Product(Record, namedtuple("Product", "left right")):
-    __slots__ = ()  # two GroupSpecs
-
-
-class Power(Record, namedtuple("Power", "base exponent")):
-    __slots__ = ()
+class Product(Record, namedtuple("Product", "factors")):
+    __slots__ = ()  # a tuple of GroupSpecs, e.g. Product((Cyclic(2),) * 3) for C2^3
 
 
 class PermGroup(Record, namedtuple("PermGroup", "generators degree")):
@@ -142,9 +138,7 @@ class PermGroup(Record, namedtuple("PermGroup", "generators degree")):
     __slots__ = ()
 
 
-GroupSpec = (
-    Cyclic | Dihedral | GeneralizedQuaternion | SemidirectPQ | Product | Power | PermGroup
-)
+GroupSpec = Cyclic | Dihedral | GeneralizedQuaternion | SemidirectPQ | Product | PermGroup
 
 
 def _is_prime(n: int) -> bool:
@@ -179,12 +173,10 @@ def validate_spec(spec: GroupSpec) -> None:
         if (q - 1) % p:
             raise InvalidSpec(f"SD({q},{p}): p must divide q-1")
     elif isinstance(spec, Product):
-        validate_spec(spec.left)
-        validate_spec(spec.right)
-    elif isinstance(spec, Power):
-        if spec.exponent < 1:
-            raise InvalidSpec(f"power exponent must be >= 1, got {spec.exponent}")
-        validate_spec(spec.base)
+        if not spec.factors:
+            raise InvalidSpec("a product needs at least one factor")
+        for f in spec.factors:
+            validate_spec(f)
     elif isinstance(spec, PermGroup):
         if spec.degree < 1:
             raise InvalidSpec("permutation degree must be >= 1")
@@ -201,28 +193,19 @@ def validate_spec(spec: GroupSpec) -> None:
         raise InvalidSpec(f"unknown spec node {spec!r}")
 
 
-def _flatten_factors(spec: GroupSpec) -> list[GroupSpec]:
-    if isinstance(spec, Product):
-        return _flatten_factors(spec.left) + _flatten_factors(spec.right)
-    if isinstance(spec, Power):
-        return _flatten_factors(spec.base) * spec.exponent
-    return [spec]
-
-
 def normalize_spec(spec: GroupSpec) -> GroupSpec:
-    """Expand Power nodes and left-associate Products.
+    """Flatten nested Products and unwrap a one-factor Product.
 
-    The realized table is independent of product tree shape (indexing is
-    positional), so normalization only pins a canonical AST for printing,
+    The realized table is independent of how a product is nested (indexing
+    is positional), so normalization only pins a canonical AST for printing,
     equality and caching.
     """
-    if isinstance(spec, (Power, Product)):
-        factors = _flatten_factors(spec)
-        out: GroupSpec = factors[0]
-        for f in factors[1:]:
-            out = Product(out, f)
-        return out
-    return spec
+    if not isinstance(spec, Product):
+        return spec
+    factors: list[GroupSpec] = []
+    for f in map(normalize_spec, spec.factors):
+        factors.extend(f.factors if isinstance(f, Product) else (f,))
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
 def spec_order(spec: GroupSpec) -> int | None:
@@ -236,29 +219,25 @@ def spec_order(spec: GroupSpec) -> int | None:
     if isinstance(spec, SemidirectPQ):
         return spec.p * spec.q
     if isinstance(spec, Product):
-        lo, ro = spec_order(spec.left), spec_order(spec.right)
-        return None if lo is None or ro is None else lo * ro
-    if isinstance(spec, Power):
-        base = spec_order(spec.base)
-        return None if base is None else base**spec.exponent
+        order = 1
+        for f in spec.factors:
+            o = spec_order(f)
+            if o is None:
+                return None
+            order *= o
+        return order
     return None
-
-
-def _product_factors(spec: GroupSpec) -> list[GroupSpec]:
-    if isinstance(spec, Product):
-        return _product_factors(spec.left) + _product_factors(spec.right)
-    return [spec]
 
 
 def spec_text(spec: GroupSpec) -> str:
     """Canonical printed form, parseable by the CLI grammar.
 
-    Runs of equal product factors collapse to the ^ sugar, so
-    Product(C3, C3) prints as "C3^2".
+    Products print flat, and runs of equal factors collapse to the ^ sugar,
+    so Product((C2, C2, C3, C2)) prints as "C2^2 x C3 x C2".
     """
     spec = normalize_spec(spec)
     if isinstance(spec, Product):
-        factors = _product_factors(spec)
+        factors = spec.factors
         parts: list[str] = []
         i = 0
         while i < len(factors):
@@ -610,15 +589,17 @@ def from_permutation_generators(
 
 
 def build(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """Realize a validated spec as a FiniteGroup."""
+    """Realize a validated spec as a FiniteGroup.
+
+    A product is built one factor at a time, and fails as soon as the running
+    order would pass max_order, before any larger table is built.
+    """
     validate_spec(spec)
     spec = normalize_spec(spec)
-    predicted = spec_order(spec)
-    if predicted is not None and predicted > max_order:
-        raise OrderLimitExceeded(
-            f"{spec_text(spec)} has order {predicted} > max order {max_order}"
-        )
     label = spec_text(spec)
+    predicted = None if isinstance(spec, Product) else spec_order(spec)
+    if predicted is not None and predicted > max_order:
+        raise OrderLimitExceeded(f"{label} has order {predicted} > max order {max_order}")
     if isinstance(spec, Cyclic):
         g = _finalize(label, _cyclic_table(spec.n))
     elif isinstance(spec, Dihedral):
@@ -628,15 +609,20 @@ def build(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     elif isinstance(spec, SemidirectPQ):
         g = build_semidirect_pq(spec.q, spec.p)
     elif isinstance(spec, Product):
-        g = direct_product(
-            build(spec.left, max_order), build(spec.right, max_order), label=label
-        )
+        g = None
+        for f in spec.factors:
+            try:
+                h = build(f, max_order // (g.order if g else 1))
+            except OrderLimitExceeded:
+                raise OrderLimitExceeded(f"{label} has order > max order {max_order}") from None
+            g = h if g is None else direct_product(g, h, label)
+        predicted = spec_order(spec)  # at most max_order now, so cheap to multiply out
     elif isinstance(spec, PermGroup):
         gens = [cycles_to_perm(c, spec.degree) for c in spec.generators]
         g = from_permutation_generators(gens, spec.degree, max_order, label=label)
     else:
         raise InvalidSpec(f"cannot build {spec!r}")
-    if g.order != (predicted if predicted is not None else g.order):
+    if predicted is not None and g.order != predicted:
         raise ValueError(f"{label}: realized order {g.order} != predicted {predicted}")
     return g
 

@@ -20,7 +20,6 @@ from grpinv.groups import (
     Dihedral,
     GeneralizedQuaternion,
     PermGroup,
-    Power,
     Product,
     build,
     finite,
@@ -130,7 +129,7 @@ def test_criterion_5_strictness_witnesses():
     q8 = build(GeneralizedQuaternion(8))
     bound = totient_cover_bound(q8)
     sc = sigma_c(q8).value
-    c27 = build(Power(Cyclic(3), 3))
+    c27 = build(Product((Cyclic(3),) * 3))
     gap = ic(c27, build(Cyclic(3))).value.value - sigma(c27).value.value
     ok = bound == finite(4) and sc == finite(3) and gap == 9
     report_line(
@@ -147,7 +146,7 @@ def test_criterion_6_isomorphism_invariance():
     a = ic(build(Dihedral(3)), build(Cyclic(6))).value
     b = ic(
         build(PermGroup((((1, 2, 3),), ((1, 2),)), 3)),
-        build(Product(Cyclic(2), Cyclic(3))),
+        build(Product((Cyclic(2), Cyclic(3)))),
     ).value
     ok = a == b
     report_line(6, ok, f"ic(D3;C6) = {a} equals ic(Perm[(1 2 3);(1 2)];C2 x C3) = {b}")

@@ -11,7 +11,7 @@ import grpinv.invariants
 import grpinv.iso
 from grpinv.cli import main
 from grpinv.errors import CheckFailed
-from grpinv.groups import Cyclic, Dihedral, GeneralizedQuaternion, PermGroup, Power, build
+from grpinv.groups import Cyclic, Dihedral, GeneralizedQuaternion, PermGroup, Product, build
 from grpinv.invariants import ic, sigma
 from grpinv.iso import are_isomorphic, embeds
 
@@ -45,7 +45,7 @@ def test_embedding_witness_is_rechecked(monkeypatch):
 def test_cover_is_rechecked(monkeypatch):
     monkeypatch.setattr(grpinv.invariants, "validate_cover", reject_all)
     with pytest.raises(CheckFailed):
-        sigma(build(Power(Cyclic(2), 2)))
+        sigma(build(Product((Cyclic(2),) * 2)))
 
 
 def test_cyclic_group_that_fails_to_embed_is_caught(monkeypatch):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grpinv
 import grpinv.invariants
@@ -38,14 +40,12 @@ def run(capsys, *argv):
 # ---------------------------------------------------------------------------
 
 def test_parse_examples():
-    assert parse_spec("C3^2") == Product(Cyclic(3), Cyclic(3))
+    assert parse_spec("C3^2") == Product((Cyclic(3), Cyclic(3)))
     assert parse_spec("D5") == Dihedral(5)
-    assert parse_spec("SD(7,3) x C2") == Product(SemidirectPQ(7, 3), Cyclic(2))
+    assert parse_spec("SD(7,3) x C2") == Product((SemidirectPQ(7, 3), Cyclic(2)))
     assert parse_spec("Q8") == GeneralizedQuaternion(8)
-    assert parse_spec("C2 * C3") == parse_spec("C2xC3") == Product(Cyclic(2), Cyclic(3))
-    assert parse_spec(" C2  x C2 x C3 ") == Product(
-        Product(Cyclic(2), Cyclic(2)), Cyclic(3)
-    )
+    assert parse_spec("C2 * C3") == parse_spec("C2xC3") == Product((Cyclic(2), Cyclic(3)))
+    assert parse_spec(" C2  x C2 x C3 ") == Product((Cyclic(2), Cyclic(2), Cyclic(3)))
     assert parse_spec("Perm[(1 2 3);(1 2)]") == PermGroup((((1, 2, 3),), ((1, 2),)), 3)
     assert parse_spec("Perm[(1 2)(3 4)]") == PermGroup((((1, 2), (3, 4)),), 4)
 
@@ -81,6 +81,66 @@ def test_parse_print_round_trip():
         assert parse_spec(spec_text(normal)) == normal
     perm = PermGroup((((1, 2, 3), (4, 5)), ((1, 2),)), 5)
     assert parse_spec(spec_text(perm)) == perm
+
+
+# small atoms and their orders
+_ATOMS = {
+    Cyclic(1): 1,
+    Cyclic(2): 2,
+    Cyclic(3): 3,
+    Cyclic(4): 4,
+    Dihedral(3): 6,
+    GeneralizedQuaternion(8): 8,
+    SemidirectPQ(3, 2): 6,
+    PermGroup((((1, 2, 3),), ((1, 2),)), 3): 6,
+}
+
+
+def _product(draw, room, depth):
+    """A Product of order at most `room`, nested at most `depth` deep, and
+    its order."""
+    factors, order = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        if depth == 1 or draw(st.booleans()):
+            f = draw(st.sampled_from([a for a, o in _ATOMS.items() if o * order <= room]))
+            o = _ATOMS[f]
+        else:
+            f, o = _product(draw, room // order, depth - 1)
+        factors.append(f)
+        order *= o
+    return Product(tuple(factors)), order
+
+
+@st.composite
+def nested_products(draw):
+    return _product(draw, 64, 3)[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(nested_products())
+def test_spec_round_trip(spec):
+    normal = normalize_spec(spec)
+    assert normalize_spec(normal) == normal
+    if isinstance(normal, Product):
+        assert len(normal.factors) >= 2
+        assert not any(isinstance(f, Product) for f in normal.factors)
+    text = spec_text(spec)
+    assert text == spec_text(normal)
+    assert parse_spec(text) == normal
+    g, h = build(spec), build(normal)
+    assert g.table == h.table and g.label == h.label == text
+    # a run of equal factors prints once, with ^ and the run length
+    parts = [part.partition("^") for part in text.split(" x ")]
+    assert all(a[0] != b[0] for a, b in zip(parts, parts[1:]))
+    factors = normal.factors if isinstance(normal, Product) else (normal,)
+    expanded = [base for base, _, k in parts for _ in range(int(k or 1))]
+    assert expanded == [spec_text(f) for f in factors]
+
+
+def test_runs_of_equal_factors_print_as_powers():
+    c2, c3 = Cyclic(2), Cyclic(3)
+    assert spec_text(Product((c2, c2, c3, c2))) == "C2^2 x C3 x C2"
+    assert spec_text(Product((Product((c2,)), Product((c2, c3)), c2))) == "C2^2 x C3 x C2"
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +205,22 @@ def test_non_positive_bounds_are_usage_errors(capsys, argv):
 def test_max_order_flag(capsys):
     code, out, _ = run(capsys, "sigma", "C200", "--max-order", "256")
     assert code == 0 and out.strip() == "infinite (cyclic group)"
+
+
+def test_long_power_fails_on_the_order_limit():
+    proc = _python("import sys\nfrom grpinv.cli import main\nsys.exit(main(['sigma', 'C2^2000']))")
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "max order" in lines[0]
+
+
+def test_product_with_a_perm_factor_obeys_the_order_limit(capsys):
+    # S4 x C30 has order 720, above the default --max-order of 128
+    code, out, err = run(capsys, "lattice", "Perm[(1 2 3 4);(1 2)] x C30", "--cyclic")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    code, _, _ = run(capsys, "lattice", "Perm[(1 2 3 4);(1 2)] x C5", "--cyclic")
+    assert code == 0
 
 
 def test_json_documents_are_stable(capsys):

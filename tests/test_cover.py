@@ -8,7 +8,7 @@ import pytest
 import grpinv.invariants
 from grpinv.cover import CoverSolution, make_instance, min_cover, validate_cover
 from grpinv.errors import BudgetExceeded
-from grpinv.groups import INFINITE, Cyclic, Power, build, finite
+from grpinv.groups import INFINITE, Cyclic, Product, build, finite
 from grpinv.invariants import ic
 
 
@@ -228,7 +228,7 @@ def test_ic_c2_6_into_c2_4_is_pinned(monkeypatch):
 
     monkeypatch.setattr(grpinv.invariants, "min_cover", capture)
     with pytest.raises(_Captured):
-        ic(build(Power(Cyclic(2), 6)), build(Power(Cyclic(2), 4)))
+        ic(build(Product((Cyclic(2),) * 6)), build(Product((Cyclic(2),) * 4)))
     (inst,) = captured
     assert (inst.universe_size, len(inst.masks)) == (63, 651)
     sol = min_cover(inst, node_budget=100_000)

@@ -14,7 +14,6 @@ from grpinv.groups import (
     ExtNat,
     GeneralizedQuaternion,
     PermGroup,
-    Power,
     Product,
     SemidirectPQ,
     _finalize,
@@ -97,7 +96,7 @@ def test_quaternion_has_unique_involution():
 
 def test_invalid_family_parameters():
     for spec in (Dihedral(2), Dihedral(0), GeneralizedQuaternion(4),
-                 GeneralizedQuaternion(12), Cyclic(0), Power(Cyclic(2), 0)):
+                 GeneralizedQuaternion(12), Cyclic(0), Product(())):
         with pytest.raises(InvalidSpec):
             build(spec)
 
@@ -106,8 +105,22 @@ def test_order_limit():
     with pytest.raises(OrderLimitExceeded):
         build(Cyclic(200), max_order=128)
     with pytest.raises(OrderLimitExceeded):
-        build(Power(Cyclic(2), 8), max_order=128)
+        build(Product((Cyclic(2),) * 8), max_order=128)
     assert build(Cyclic(200), max_order=256).order == 200
+
+
+def test_long_product_fails_before_building_past_the_limit(monkeypatch):
+    calls = []
+    direct_product = groups.direct_product
+
+    def counted(g, h, label=None):
+        calls.append(g.order * h.order)
+        return direct_product(g, h, label)
+
+    monkeypatch.setattr(groups, "direct_product", counted)
+    with pytest.raises(OrderLimitExceeded, match="max order 128"):
+        build(Product((Cyclic(2),) * 2000), max_order=128)
+    assert len(calls) < 8 and max(calls) <= 128
 
 
 def test_permutation_closure():
@@ -157,7 +170,7 @@ def test_cyclic_totient_counts(n):
         Dihedral(6),
         GeneralizedQuaternion(16),
         SemidirectPQ(7, 3),
-        Product(Dihedral(3), Cyclic(4)),
+        Product((Dihedral(3), Cyclic(4))),
         PermGroup((((1, 2, 3, 4),), ((1, 3),)), 4),
     ],
 )
@@ -232,7 +245,9 @@ def naive_associative(t):
     )
 
 
-@pytest.mark.parametrize("spec", [Dihedral(4), Power(Cyclic(2), 3), GeneralizedQuaternion(8)])
+@pytest.mark.parametrize(
+    "spec", [Dihedral(4), Product((Cyclic(2),) * 3), GeneralizedQuaternion(8)]
+)
 def test_associativity_check_matches_every_triple(spec):
     # Each table changes one product of a group; whether the result is still
     # associative is decided by checking all n^3 triples (it never is here).
@@ -254,14 +269,14 @@ def test_associativity_check_matches_every_triple(spec):
 
 
 def test_build_is_deterministic():
-    for spec in (Dihedral(5), Power(Cyclic(3), 2), SemidirectPQ(7, 2),
+    for spec in (Dihedral(5), Product((Cyclic(3),) * 2), SemidirectPQ(7, 2),
                  PermGroup((((1, 2, 3),), ((1, 2),)), 3)):
         assert build(spec).table == build(spec).table
 
 
 def test_product_indexing_matches_components():
     a, b = build(Cyclic(4)), build(Dihedral(3))
-    g = build(Product(Cyclic(4), Dihedral(3)))
+    g = build(Product((Cyclic(4), Dihedral(3))))
     assert g.order == 24
     for x in range(4):
         for y in range(6):
@@ -273,11 +288,11 @@ def test_product_indexing_matches_components():
 
 
 def test_power_spec_equals_iterated_product():
-    assert build(Power(Cyclic(3), 3)).table == build(
-        Product(Product(Cyclic(3), Cyclic(3)), Cyclic(3))
+    assert build(Product((Cyclic(3),) * 3)).table == build(
+        Product((Product((Cyclic(3), Cyclic(3))), Cyclic(3)))
     ).table
-    assert spec_text(Power(Cyclic(3), 3)) == "C3^3"
-    assert spec_text(Product(Cyclic(2), Cyclic(3))) == "C2 x C3"
+    assert spec_text(Product((Cyclic(3),) * 3)) == "C3^3"
+    assert spec_text(Product((Cyclic(2), Cyclic(3)))) == "C2 x C3"
 
 
 def test_extnat_ordering_and_arithmetic():

@@ -14,7 +14,6 @@ from grpinv.groups import (
     Dihedral,
     GeneralizedQuaternion,
     PermGroup,
-    Power,
     Product,
     SemidirectPQ,
     build,
@@ -74,21 +73,21 @@ def test_sigma_cyclic_is_infinite(n):
 
 
 def test_sigma_examples():
-    assert sigma(build(Power(Cyclic(2), 2))).value == finite(3)
-    assert sigma(build(Power(Cyclic(3), 3))).value == finite(4)
+    assert sigma(build(Product((Cyclic(2),) * 2))).value == finite(3)
+    assert sigma(build(Product((Cyclic(3),) * 3))).value == finite(4)
     assert sigma(build(Dihedral(3))).value == finite(4)
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        Power(Cyclic(2), 2),
+        Product((Cyclic(2),) * 2),
         Dihedral(3),
         Dihedral(4),
         Dihedral(5),
         GeneralizedQuaternion(8),
-        Power(Cyclic(3), 2),
-        Product(Cyclic(2), Cyclic(4)),
+        Product((Cyclic(3),) * 2),
+        Product((Cyclic(2), Cyclic(4))),
         SemidirectPQ(7, 3),
     ],
 )
@@ -99,8 +98,8 @@ def test_sigma_and_sigma_c_match_brute_force(spec):
 
 
 def test_sigma_c_examples():
-    assert sigma_c(build(Power(Cyclic(3), 2))).value == finite(4)
-    assert sigma_c(build(Power(Cyclic(2), 3))).value == finite(7)
+    assert sigma_c(build(Product((Cyclic(3),) * 2))).value == finite(4)
+    assert sigma_c(build(Product((Cyclic(2),) * 3))).value == finite(7)
     assert sigma_c(build(GeneralizedQuaternion(8))).value == finite(3)
 
 
@@ -122,7 +121,7 @@ def test_sigma_at_least_three_and_below_sigma_c():
 
 
 def test_certificates_are_sound():
-    for spec in (Power(Cyclic(2), 2), Dihedral(4), GeneralizedQuaternion(8)):
+    for spec in (Product((Cyclic(2),) * 2), Dihedral(4), GeneralizedQuaternion(8)):
         g = build(spec)
         for report in (sigma(g), sigma_c(g)):
             assert certificate_sound(report)
@@ -135,17 +134,17 @@ def test_certificates_are_sound():
 
 def test_ic_paper_table():
     cases = [
-        (Power(Cyclic(2), 2), Cyclic(2), 3),
-        (Power(Cyclic(2), 3), Cyclic(2), 7),
-        (Power(Cyclic(3), 2), Cyclic(3), 4),
-        (Power(Cyclic(3), 3), Cyclic(3), 13),
-        (Power(Cyclic(3), 2), Cyclic(9), 4),
-        (Power(Cyclic(2), 2), Cyclic(4), 3),
+        (Product((Cyclic(2),) * 2), Cyclic(2), 3),
+        (Product((Cyclic(2),) * 3), Cyclic(2), 7),
+        (Product((Cyclic(3),) * 2), Cyclic(3), 4),
+        (Product((Cyclic(3),) * 3), Cyclic(3), 13),
+        (Product((Cyclic(3),) * 2), Cyclic(9), 4),
+        (Product((Cyclic(2),) * 2), Cyclic(4), 3),
         (Dihedral(5), Cyclic(10), 6),
         (Dihedral(3), Cyclic(6), 4),
-        (Power(Cyclic(2), 2), Cyclic(2), 3),
-        (Power(Cyclic(2), 3), Power(Cyclic(2), 2), 3),
-        (Power(Cyclic(2), 4), Power(Cyclic(2), 3), 3),
+        (Product((Cyclic(2),) * 2), Cyclic(2), 3),
+        (Product((Cyclic(2),) * 3), Product((Cyclic(2),) * 2), 3),
+        (Product((Cyclic(2),) * 4), Product((Cyclic(2),) * 3), 3),
     ]
     for gspec, hspec, want in cases:
         report = ic(build(gspec), build(hspec))
@@ -177,14 +176,14 @@ def test_ic_isomorphism_invariance():
     a = ic(build(Dihedral(3)), build(Cyclic(6))).value
     b = ic(
         build(PermGroup((((1, 2, 3),), ((1, 2),)), 3)),
-        build(Product(Cyclic(2), Cyclic(3))),
+        build(Product((Cyclic(2), Cyclic(3)))),
     ).value
     assert a == b == finite(4)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_ic_to_cp_gap_formula(p, n):
-    g = build(Power(Cyclic(p), n))
+    g = build(Product((Cyclic(p),) * n))
     icv = ic(g, build(Cyclic(p))).value
     sv = sigma(g).value
     assert icv.value - sv.value == (p**n - 1) // (p - 1) - p - 1
@@ -225,8 +224,8 @@ def test_ic_matches_raw_lattice_brute_force():
 
 def test_ic_certificate_passes_optimality_validator():
     for gspec, hspec in [
-        (Power(Cyclic(2), 2), Cyclic(2)),
-        (Power(Cyclic(3), 2), Cyclic(9)),
+        (Product((Cyclic(2),) * 2), Cyclic(2)),
+        (Product((Cyclic(3),) * 2), Cyclic(9)),
         (Dihedral(5), Cyclic(10)),
     ]:
         report = ic(build(gspec), build(hspec))
@@ -259,7 +258,7 @@ C2_7_INTO_C2_3_MASKS = (
 
 
 def test_ic_c2_7_into_c2_3_is_nineteen():
-    report = ic(build(Power(Cyclic(2), 7)), build(Power(Cyclic(2), 3)))
+    report = ic(build(Product((Cyclic(2),) * 7)), build(Product((Cyclic(2),) * 3)))
     assert report.value == finite(19)
     assert tuple(e.subgroup.mask for e in report.certificate) == C2_7_INTO_C2_3_MASKS
     assert certificate_sound(report)
@@ -306,7 +305,7 @@ def test_point_sets_match_the_containment_test(monkeypatch):
 
 
 def test_optimality_validator_rejects_containment():
-    g = build(Power(Cyclic(2), 2))
+    g = build(Product((Cyclic(2),) * 2))
     h = build(Cyclic(2))
     report = ic(g, h)
     trivial = make_subgroup(g, {0})
@@ -320,8 +319,8 @@ def test_optimality_validator_rejects_containment():
 def test_optimality_validator_rejects_mergeable_pairs():
     # seven order-2 subgroups of C2^3 cover it, but pairs generate C2^2
     # subgroups that embed into the target, so the cover cannot be optimal
-    g = build(Power(Cyclic(2), 3))
-    h = build(Power(Cyclic(2), 2))
+    g = build(Product((Cyclic(2),) * 3))
+    h = build(Product((Cyclic(2),) * 2))
     atoms = [s for s in all_subgroups(g).all if s.order == 2]
     entries = []
     for s in atoms:
@@ -333,7 +332,7 @@ def test_optimality_validator_rejects_mergeable_pairs():
 
 
 def test_optimality_validator_pre():
-    report = ic(build(Power(Cyclic(2), 2)), build(Power(Cyclic(2), 2)))
+    report = ic(build(Product((Cyclic(2),) * 2)), build(Product((Cyclic(2),) * 2)))
     assert report.value == finite(1)
     with pytest.raises(ValueError):
         validate_optimal_ic_certificate(report)
@@ -344,7 +343,7 @@ def test_optimality_validator_pre():
 # ---------------------------------------------------------------------------
 
 def test_triangle_equality_when_target_matches():
-    g = build(Power(Cyclic(2), 2))
+    g = build(Product((Cyclic(2),) * 2))
     h = build(Cyclic(2))
     assert check_triangle(g, h, h)
     assert ic(g, h).value == ic(g, h).value * ic(h, h).value
@@ -353,39 +352,39 @@ def test_triangle_equality_when_target_matches():
 def test_triangle_with_trivial_target():
     triv = build(Cyclic(1))
     for e in corpus(8):
-        assert check_triangle(e.group, build(Power(Cyclic(2), 2)), triv)
+        assert check_triangle(e.group, build(Product((Cyclic(2),) * 2)), triv)
 
 
 def test_bounds_sandwich_examples():
-    g = build(Power(Cyclic(3), 3))
+    g = build(Product((Cyclic(3),) * 3))
     h = build(Cyclic(3))
     assert sigma(g).value == finite(4)
     assert ic(g, h).value == finite(13)
     assert sigma_c(g).value == finite(13)
     assert check_bounds_sandwich(g, h)
-    assert check_bounds_sandwich(build(Power(Cyclic(2), 2)), build(Cyclic(2)))
+    assert check_bounds_sandwich(build(Product((Cyclic(2),) * 2)), build(Cyclic(2)))
     # cyclic G, H without a copy: infinite <= infinite
     assert check_bounds_sandwich(build(Cyclic(9)), build(Cyclic(3)))
 
 
 def test_bounds_sandwich_honours_node_budget():
     # IC(C2^2;C3) is infinite without a search; sigma(C2^2) needs 3 nodes
-    g, h = build(Power(Cyclic(2), 2)), build(Cyclic(3))
+    g, h = build(Product((Cyclic(2),) * 2)), build(Cyclic(3))
     with pytest.raises(BudgetExceeded):
         check_bounds_sandwich(g, h, node_budget=2)
     assert check_bounds_sandwich(g, h, node_budget=3)
 
 
 def test_to_zp_formula_examples():
-    assert check_to_zp_formula(build(Power(Cyclic(2), 2)), 2)
-    assert check_to_zp_formula(build(Power(Cyclic(3), 2)), 3)
-    assert check_to_zp_formula(build(Power(Cyclic(2), 4)), 2)
+    assert check_to_zp_formula(build(Product((Cyclic(2),) * 2)), 2)
+    assert check_to_zp_formula(build(Product((Cyclic(3),) * 2)), 3)
+    assert check_to_zp_formula(build(Product((Cyclic(2),) * 4)), 2)
     with pytest.raises(ValueError):
         check_to_zp_formula(build(Cyclic(4)), 2)  # infinite
 
 
 def test_subadditivity_example_and_partition_errors():
-    g = build(Power(Cyclic(2), 2))
+    g = build(Product((Cyclic(2),) * 2))
     h = build(Cyclic(2))
     twos = [s for s in all_subgroups(g).all if s.order == 2]
     assert check_subadditivity(g, h, *twos)
@@ -416,16 +415,17 @@ def test_subadditivity_sweep_small():
 def test_product_inequality_examples():
     c2 = build(Cyclic(2))
     assert check_product_inequality(c2, c2, c2, c2)
-    assert ic(build(Power(Cyclic(2), 3)), build(Power(Cyclic(2), 2))).value == finite(3)
-    g1, h1 = build(Power(Cyclic(2), 2)), build(Cyclic(2))
-    g2, h2 = build(Power(Cyclic(3), 2)), build(Cyclic(3))
+    c2_3, c2_2 = build(Product((Cyclic(2),) * 3)), build(Product((Cyclic(2),) * 2))
+    assert ic(c2_3, c2_2).value == finite(3)
+    g1, h1 = build(Product((Cyclic(2),) * 2)), build(Cyclic(2))
+    g2, h2 = build(Product((Cyclic(3),) * 2)), build(Cyclic(3))
     assert check_product_inequality(g1, g2, h1, h2)
 
 
 def test_coordinate_injections_examples():
     c2 = build(Cyclic(2))
-    c2c2 = build(Power(Cyclic(2), 2))
-    assert ic(c2c2, build(Product(Cyclic(2), Cyclic(2)))).value == finite(1)
+    c2c2 = build(Product((Cyclic(2),) * 2))
+    assert ic(c2c2, build(Product((Cyclic(2), Cyclic(2))))).value == finite(1)
     assert check_coordinate_injections(c2c2, c2, c2, c2)
     assert check_coordinate_injections(c2, c2c2, c2c2, c2)
 
@@ -434,10 +434,10 @@ def test_miller_moreno_checker():
     assert check_miller_moreno(build(GeneralizedQuaternion(8))) == (True, None)
     assert check_miller_moreno(build(SemidirectPQ(7, 3))) == (True, None)
     # both sides false
-    assert check_miller_moreno(build(Power(Cyclic(2), 3))) == (True, None)
+    assert check_miller_moreno(build(Product((Cyclic(2),) * 3))) == (True, None)
     assert check_miller_moreno(build(Cyclic(9))) == (True, None)
     # boundary cases are flagged, not failed
     ok, flag = check_miller_moreno(build(GeneralizedQuaternion(16)))
     assert ok and "generalized quaternion" in flag
-    ok, flag = check_miller_moreno(build(Power(Cyclic(2), 2)))
+    ok, flag = check_miller_moreno(build(Product((Cyclic(2),) * 2)))
     assert ok and "C_p x C_p" in flag

@@ -14,7 +14,6 @@ from grpinv.groups import (
     Dihedral,
     GeneralizedQuaternion,
     PermGroup,
-    Power,
     Product,
     SemidirectPQ,
     build,
@@ -65,14 +64,14 @@ def brute_force_subgroup_masks(g):
 
 def test_cyclic_subgroup_counts():
     assert len(cyclic_subgroups(build(Cyclic(4)))) == 3
-    assert len(cyclic_subgroups(build(Power(Cyclic(2), 2)))) == 4
+    assert len(cyclic_subgroups(build(Product((Cyclic(2),) * 2)))) == 4
     q8 = cyclic_subgroups(build(GeneralizedQuaternion(8)))
     assert [s.order for s in q8] == [1, 2, 4, 4, 4]
 
 
 def test_all_subgroups_counts():
     assert len(all_subgroups(build(Cyclic(12))).all) == 6
-    assert len(all_subgroups(build(Power(Cyclic(2), 2))).all) == 5
+    assert len(all_subgroups(build(Product((Cyclic(2),) * 2))).all) == 5
     d5 = all_subgroups(build(Dihedral(5)))
     assert sorted(s.order for s in d5.all) == [1, 2, 2, 2, 2, 2, 5, 10]
 
@@ -81,14 +80,14 @@ def test_all_subgroups_counts():
     "spec",
     [
         Cyclic(12),
-        Power(Cyclic(2), 2),
+        Product((Cyclic(2),) * 2),
         Dihedral(3),
         Dihedral(4),
         GeneralizedQuaternion(8),
         SemidirectPQ(7, 3),
-        Product(Cyclic(2), Cyclic(8)),
+        Product((Cyclic(2), Cyclic(8))),
         GeneralizedQuaternion(16),
-        Power(Cyclic(2), 4),
+        Product((Cyclic(2),) * 4),
     ],
 )
 def test_lattice_matches_brute_force(spec):
@@ -155,7 +154,7 @@ def gaussian_binomial(n, k, q):
 def test_elementary_abelian_subgroup_counts(p, n, count):
     # the subgroups of C_p^n are the subspaces of GF(p)^n
     assert sum(gaussian_binomial(n, k, p) for k in range(n + 1)) == count
-    assert len(all_subgroups(build(Power(Cyclic(p), n))).all) == count
+    assert len(all_subgroups(build(Product((Cyclic(p),) * n))).all) == count
 
 
 def reference_all_subgroups(g):
@@ -198,10 +197,10 @@ def reference_all_subgroups(g):
     [
         S4,
         Dihedral(12),
-        Product(GeneralizedQuaternion(8), Power(Cyclic(2), 2)),
-        Power(Cyclic(2), 5),
-        Power(Cyclic(3), 3),
-        Product(Power(Cyclic(2), 2), Cyclic(4)),
+        Product((GeneralizedQuaternion(8), Product((Cyclic(2),) * 2))),
+        Product((Cyclic(2),) * 5),
+        Product((Cyclic(3),) * 3),
+        Product((Product((Cyclic(2),) * 2), Cyclic(4))),
     ],
     ids=["S4", "D12", "Q8xC2^2", "C2^5", "C3^3", "C2^2xC4"],
 )
@@ -212,7 +211,7 @@ def test_prime_index_skip_matches_unskipped_joins(spec):
 
 CLOSURE_GROUPS = tuple(
     build(spec)
-    for spec in (Dihedral(6), GeneralizedQuaternion(16), S4, Power(Cyclic(2), 4))
+    for spec in (Dihedral(6), GeneralizedQuaternion(16), S4, Product((Cyclic(2),) * 4))
 )
 
 
@@ -229,9 +228,9 @@ def test_every_subgroup_is_closed_independently():
     specs = (
         Dihedral(6),
         GeneralizedQuaternion(16),
-        Power(Cyclic(3), 2),
+        Product((Cyclic(3),) * 2),
         S4,
-        Product(Dihedral(5), Power(Cyclic(2), 2)),
+        Product((Dihedral(5), Product((Cyclic(2),) * 2))),
     )
     for spec in specs:
         g = build(spec)
@@ -251,7 +250,7 @@ def test_canonical_order_is_stable():
 
 
 def test_closure_examples():
-    c2c2 = build(Power(Cyclic(2), 2))
+    c2c2 = build(Product((Cyclic(2),) * 2))
     assert closure(c2c2, {0}).order == 1
     assert closure(c2c2, {1, 2}).order == 4
     c12 = build(Cyclic(12))
@@ -269,7 +268,7 @@ def test_maximal_filter_chain():
 
 
 def test_maximal_filter_examples():
-    c2c2 = build(Power(Cyclic(2), 2))
+    c2c2 = build(Product((Cyclic(2),) * 2))
     proper = [s for s in all_subgroups(c2c2).all if s.is_proper]
     assert [s.order for s in maximal_filter(proper)] == [2, 2, 2]
     q8 = build(GeneralizedQuaternion(8))
@@ -287,28 +286,28 @@ def test_maximal_strata():
 def test_all_proper_subgroups_cyclic():
     assert all_proper_subgroups_cyclic(build(GeneralizedQuaternion(8)))
     assert all_proper_subgroups_cyclic(build(SemidirectPQ(3, 2)))
-    assert not all_proper_subgroups_cyclic(build(Power(Cyclic(2), 3)))
+    assert not all_proper_subgroups_cyclic(build(Product((Cyclic(2),) * 3)))
     # Q16 contains Q8, which is not cyclic
     assert not all_proper_subgroups_cyclic(build(GeneralizedQuaternion(16)))
 
 
 def test_totient_cover_bound():
-    assert totient_cover_bound(build(Power(Cyclic(2), 2))) == finite(3)
+    assert totient_cover_bound(build(Product((Cyclic(2),) * 2))) == finite(3)
     assert totient_cover_bound(build(GeneralizedQuaternion(8))) == finite(4)
-    assert totient_cover_bound(build(Power(Cyclic(3), 2))) == finite(4)
+    assert totient_cover_bound(build(Product((Cyclic(3),) * 2))) == finite(4)
     assert totient_cover_bound(build(Cyclic(9))) == INFINITE
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
 def test_elementary_abelian_maximal_cyclic_count(p, n):
-    g = build(Power(Cyclic(p), n))
+    g = build(Product((Cyclic(p),) * n))
     lat = all_subgroups(g)
     assert len(lat.maximal_cyclic) == (p**n - 1) // (p - 1)
 
 
 def test_totient_bound_dominates_maximal_cyclic_count():
-    specs = [Power(Cyclic(2), 2), Dihedral(4), GeneralizedQuaternion(8),
-             SemidirectPQ(5, 2), Product(Cyclic(2), Cyclic(4))]
+    specs = [Product((Cyclic(2),) * 2), Dihedral(4), GeneralizedQuaternion(8),
+             SemidirectPQ(5, 2), Product((Cyclic(2), Cyclic(4)))]
     for spec in specs:
         g = build(spec)
         bound = totient_cover_bound(g)
@@ -322,7 +321,7 @@ def test_totient_bound_dominates_maximal_cyclic_count():
 
 def test_subgroup_budget():
     with pytest.raises(BudgetExceeded):
-        all_subgroups(build(Power(Cyclic(2), 3)), max_subgroups=5)
+        all_subgroups(build(Product((Cyclic(2),) * 3)), max_subgroups=5)
 
 
 def test_as_group_reindexes_to_identity_zero():

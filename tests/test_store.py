@@ -9,7 +9,7 @@ import pytest
 
 from grpinv import groups, iso, lattice
 from grpinv.corpus import run_suites
-from grpinv.groups import CACHE_SIZE, Cyclic, Dihedral, Power, _finalize, build, direct_product
+from grpinv.groups import CACHE_SIZE, Cyclic, Dihedral, Product, _finalize, build, direct_product
 from grpinv.iso import embeds
 from grpinv.lattice import all_subgroups, as_group
 
@@ -40,7 +40,7 @@ def test_each_distinct_table_is_validated_once(monkeypatch):
 
 
 def test_equal_tables_make_equal_groups_with_their_own_labels():
-    g = build(Power(Cyclic(2), 2))
+    g = build(Product((Cyclic(2),) * 2))
     a, b = (as_group(g, s)[0] for s in all_subgroups(g).all if s.order == 2 and s.mask != 3)
     c2 = build(Cyclic(2))
     assert a == b == c2
@@ -53,7 +53,7 @@ def test_equal_tables_make_equal_groups_with_their_own_labels():
 
 
 def test_relabelled_views_keep_their_labels_and_share_one_table():
-    g = build(Power(Cyclic(2), 3))
+    g = build(Product((Cyclic(2),) * 3))
     g2 = _finalize("another C2^3", [list(row) for row in g.table])
     s = all_subgroups(g).all[-2]
     (a, elems_a), (b, elems_b) = as_group(g, s), as_group(g2, s)
@@ -73,7 +73,7 @@ def test_direct_product_keeps_an_explicit_label():
     assert direct_product(c2, c3).label == "C2 x C3"
     assert direct_product(c2, c3, label="C6 again").label == "C6 again"
     assert direct_product(c2, c3).label == "C2 x C3"
-    assert build(Power(Cyclic(2), 2)).label == "C2^2"
+    assert build(Product((Cyclic(2),) * 2)).label == "C2^2"
 
 
 def _relabelled(table, perm):
