@@ -65,7 +65,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # a digit int() rejects, such as '²', or too many digits
+            raise ParseError("malformed integer", start) from None
 
 
 def _parse_cycles(raw: str, base: int) -> tuple[tuple[int, ...], ...]:

@@ -18,6 +18,7 @@ from . import invariants as inv
 from .errors import BudgetExceeded, CheckFailed
 from .cover import DEFAULT_NODE_BUDGET
 from .groups import (
+    CACHE_SIZE,
     Cyclic,
     Dihedral,
     ExtNat,
@@ -104,7 +105,7 @@ def corpus_specs(bound: int) -> list[GroupSpec]:
     return atoms + products
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def corpus(bound: int) -> tuple[CorpusEntry, ...]:
     """Family-constructible groups up to the bound, one per isomorphism
     class, sorted by (order, label).  Shorter labels win the dedup, so C6

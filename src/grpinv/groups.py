@@ -141,14 +141,34 @@ class PermGroup(Record, namedtuple("PermGroup", "generators degree")):
 GroupSpec = Cyclic | Dihedral | GeneralizedQuaternion | SemidirectPQ | Product | PermGroup
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Trial division by the first thirteen primes, then Miller-Rabin with
+    them as bases, which is exact for n < 3.3 * 10**24 (and beyond that a
+    spec's order passes any limit)."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if b * b > n:
+            return True
+        if n % b == 0:
             return False
-        d += 1
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from grpinv import groups, iso, lattice
+from grpinv import corpus, groups, iso, lattice
 
 
 @pytest.fixture
@@ -13,3 +13,4 @@ def fresh_caches():
     lattice._subgroup_table.cache_clear()
     iso.embeds.cache_clear()
     iso._cyclic_order_multiset.cache_clear()
+    corpus.corpus.cache_clear()

@@ -73,6 +73,10 @@ def test_parse_errors_carry_offsets():
         assert err.value.offset == offset, text
     with pytest.raises(ParseError):
         parse_spec("C2 C3")  # trailing input
+    # '²' passes str.isdigit but not int(); 5,000 digits pass int()'s limit
+    for text in ("C\u00b2", "C" + "9" * 5000, "SD(" + "7" * 5000 + ",2)"):
+        with pytest.raises(ParseError, match="malformed integer"):
+            parse_spec(text)
 
 
 def test_parse_print_round_trip():
@@ -174,6 +178,10 @@ def test_exit_codes(capsys):
     assert code == 1 and "dihedral" in err
     code, _, err = run(capsys, "sigma", "C2^)")
     assert code == 1
+    code, _, err = run(capsys, "sigma", "C\u00b2")
+    assert code == 1 and len(err.strip().splitlines()) == 1
+    code, _, err = run(capsys, "sigma", "SD(1000004,2)")
+    assert code == 1 and "must be prime" in err
     code, _, err = run(capsys, "sigma", "C200")
     assert code == 2 and "max order" in err
     code, _, err = run(capsys, "sigma", "C2^2", "--budget", "1")
@@ -209,6 +217,16 @@ def test_max_order_flag(capsys):
 
 def test_long_power_fails_on_the_order_limit():
     proc = _python("import sys\nfrom grpinv.cli import main\nsys.exit(main(['sigma', 'C2^2000']))")
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "max order" in lines[0]
+
+
+def test_huge_prime_sd_fails_on_the_order_limit():
+    # q = 2^61 - 1 is prime, and proving it by trial division never ended;
+    # a child process with a timeout fails this test instead of hanging
+    argv = ["sigma", "SD(2305843009213693951,2)"]
+    proc = _python(f"import sys\nfrom grpinv.cli import main\nsys.exit(main({argv}))", timeout=10)
     assert proc.returncode == 2
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "max order" in lines[0]
@@ -388,11 +406,15 @@ _NO_NUMPY = (
 )
 
 
-def _python(script, *flags):
+def _python(script, *flags, timeout=None):
     src = os.path.dirname(os.path.dirname(os.path.abspath(grpinv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
 
 

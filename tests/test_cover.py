@@ -192,6 +192,32 @@ def test_matches_reference_solver_on_larger_instances():
         assert min_cover(inst) == reference_min_cover(inst)
 
 
+def planted_instance(rng):
+    """A partition of the universe into blocks of `size` points, shuffled
+    among random sets of at most `size` points.  The universe exceeds three
+    blocks, so the optimum is at least 4 and most nodes search for 3 or more
+    members; the partition makes the r largest coverages sum to exactly
+    what is uncovered."""
+    size = rng.choice((2, 3, 4))
+    universe = rng.randint(3 * size + 1, 5 * size)
+    points = list(range(universe))
+    rng.shuffle(points)
+    sets = [frozenset(points[i : i + size]) for i in range(0, universe, size)]
+    for _ in range(rng.randint(5, 30)):
+        sets.append(frozenset(rng.sample(range(universe), rng.randint(1, size))))
+    rng.shuffle(sets)
+    return make_instance(universe, sets)
+
+
+def test_matches_reference_solver_when_the_optimum_is_at_least_4():
+    rng = random.Random(0x4C0FE2)
+    for _ in range(400):
+        inst = planted_instance(rng)
+        sol = min_cover(inst)
+        assert sol.value.value >= 4
+        assert sol == reference_min_cover(inst)
+
+
 def test_dominance_filter_matches_quadratic_reference():
     rng = random.Random(0xD0E5)
     for _ in range(1500):
@@ -219,7 +245,8 @@ class _Captured(Exception):
     pass
 
 
-def test_ic_c2_6_into_c2_4_is_pinned(monkeypatch):
+def _c2_6_into_c2_4(monkeypatch):
+    """The cover instance that ic(C2^6, C2^4) hands to min_cover."""
     captured = []
 
     def capture(inst, node_budget):
@@ -231,7 +258,21 @@ def test_ic_c2_6_into_c2_4_is_pinned(monkeypatch):
         ic(build(Product((Cyclic(2),) * 6)), build(Product((Cyclic(2),) * 4)))
     (inst,) = captured
     assert (inst.universe_size, len(inst.masks)) == (63, 651)
-    sol = min_cover(inst, node_budget=100_000)
+    return inst
+
+
+def test_ic_c2_6_into_c2_4_is_pinned(monkeypatch):
+    sol = min_cover(_c2_6_into_c2_4(monkeypatch), node_budget=100_000)
+    assert sol.value == finite(5)
+    assert sol.certificate == (0, 61, 115, 217, 645)
+
+
+def test_ic_c2_6_into_c2_4_fits_a_small_budget(monkeypatch):
+    # with two 4-dimensional subspaces fixed, no subspace left covers more
+    # than 12 of the 36 or more lines left, so 3 more cannot finish: the
+    # coverage bound rejects each such try at its first node, where the
+    # counting bound alone spent 10,259 nodes
+    sol = min_cover(_c2_6_into_c2_4(monkeypatch), node_budget=1_000)
     assert sol.value == finite(5)
     assert sol.certificate == (0, 61, 115, 217, 645)
 

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from grpinv import groups, iso, lattice
-from grpinv.corpus import run_suites
+from grpinv.corpus import corpus, run_suites
 from grpinv.groups import CACHE_SIZE, Cyclic, Dihedral, Product, _finalize, build, direct_product
 from grpinv.iso import embeds
 from grpinv.lattice import all_subgroups, as_group
@@ -111,3 +111,4 @@ def test_store_and_caches_keep_to_the_cap():
     assert all(cached.cache_info().misses > CACHE_SIZE for cached in caches)
     assert len(groups._STORE) <= CACHE_SIZE
     assert all(cached.cache_info().currsize <= CACHE_SIZE for cached in caches)
+    assert corpus.cache_info().maxsize == CACHE_SIZE  # keyed by the bound asked for
