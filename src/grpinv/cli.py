@@ -194,7 +194,7 @@ def _value_text(report: InvariantReport) -> str:
 def _certificate_json(report: InvariantReport) -> list[dict]:
     out = []
     for e in report.certificate:
-        entry = {"order": e.subgroup.order, "elements": list(e.subgroup.sorted_members)}
+        entry = {"order": e.subgroup.order, "elements": list(e.subgroup.members)}
         if e.embedding is not None:
             entry["image"] = list(e.embedding)
         out.append(entry)
@@ -236,7 +236,7 @@ def _cmd_invariant(args) -> int:
         if args.certificate and report.certificate is not None:
             print("certificate:")
             for e in report.certificate:
-                line = f"  order {e.subgroup.order}: {' '.join(map(str, e.subgroup.sorted_members))}"
+                line = f"  order {e.subgroup.order}: {' '.join(map(str, e.subgroup.members))}"
                 if e.embedding is not None:
                     line += f" -> {' '.join(map(str, e.embedding))}"
                 print(line)
@@ -258,12 +258,12 @@ def _cmd_lattice(args) -> int:
     if args.json:
         doc = _base_doc("lattice", [spec_text(spec)], started, args.max_order)
         doc["subgroups"] = [
-            {"order": s.order, "elements": list(s.sorted_members)} for s in subs
+            {"order": s.order, "elements": list(s.members)} for s in subs
         ]
         _emit(doc)
     else:
         for s in subs:
-            print(f"{s.order}: {' '.join(map(str, s.sorted_members))}")
+            print(f"{s.order}: {' '.join(map(str, s.members))}")
     return 0
 
 

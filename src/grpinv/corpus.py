@@ -144,47 +144,38 @@ class SweepContext:
         self.certificates_checked = 0
         self.certificate_failures: list[str] = []
 
-    def _note_ic_report(self, report) -> None:
+    def _note(self, report) -> None:
+        """Re-validate a finite report's certificate, and for an ic value
+        above 1 its optimality conditions, into the ledger."""
         if not report.value.is_finite:
             return
         self.certificates_checked += 1
+        name = f"{report.kind}({';'.join(report.operands)})"
         if not inv.certificate_sound(report):
-            self.certificate_failures.append(
-                f"ic({report.group.label};{report.target.label}) certificate unsound"
-            )
-        if report.value.value > 1 and not inv.validate_optimal_ic_certificate(report):
-            self.certificate_failures.append(
-                f"ic({report.group.label};{report.target.label}) optimality conditions fail"
-            )
-
-    def _note_plain_report(self, report) -> None:
-        if not report.value.is_finite:
-            return
-        self.certificates_checked += 1
-        if not inv.certificate_sound(report):
-            self.certificate_failures.append(
-                f"{report.kind}({report.group.label}) certificate unsound"
-            )
+            self.certificate_failures.append(f"{name} certificate unsound")
+        if report.kind == "ic" and report.value.value > 1:
+            if not inv.validate_optimal_ic_certificate(report):
+                self.certificate_failures.append(f"{name} optimality conditions fail")
 
     def ic_value(self, g: FiniteGroup, h: FiniteGroup) -> ExtNat:
         key = (g.label, h.label)
         if key not in self._ic:
             report = inv.ic(g, h, self.node_budget)
-            self._note_ic_report(report)
+            self._note(report)
             self._ic[key] = report.value
         return self._ic[key]
 
     def sigma_value(self, g: FiniteGroup) -> ExtNat:
         if g.label not in self._sigma:
             report = inv.sigma(g, self.node_budget)
-            self._note_plain_report(report)
+            self._note(report)
             self._sigma[g.label] = report.value
         return self._sigma[g.label]
 
     def sigma_c_value(self, g: FiniteGroup) -> ExtNat:
         if g.label not in self._sigma_c:
             report = inv.sigma_c(g, self.node_budget)
-            self._note_plain_report(report)
+            self._note(report)
             self._sigma_c[g.label] = report.value
         return self._sigma_c[g.label]
 
@@ -194,9 +185,9 @@ class SweepContext:
 # ---------------------------------------------------------------------------
 
 def _run(suite: str, name: str, check) -> CheckResult:
-    """Run one case; `check` returns ok or (ok, detail).  An exhausted
-    budget is a skip and a failed re-check a fail, so no case stops the
-    sweep."""
+    """Run one case; `check` returns ok or (ok, detail), where ok is a bool
+    or a status string such as "flag".  An exhausted budget is a skip and a
+    failed re-check a fail, so no case stops the sweep."""
     start = time.perf_counter()
     try:
         outcome = check()
@@ -205,7 +196,7 @@ def _run(suite: str, name: str, check) -> CheckResult:
     except CheckFailed as exc:
         return CheckResult(suite, name, "fail", str(exc), time.perf_counter() - start)
     ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
-    status = "pass" if ok else "fail"
+    status = ok if isinstance(ok, str) else "pass" if ok else "fail"
     return CheckResult(suite, name, status, detail, time.perf_counter() - start)
 
 
@@ -351,24 +342,16 @@ def _coordinate_cases(ctx: SweepContext, bound: int):
         )
 
 
-def suite_miller_moreno(ctx: SweepContext, bound: int) -> list[CheckResult]:
+def _miller_moreno_cases(ctx: SweepContext, bound: int):
     """Cyclic-proper-subgroups predicate vs the classified families, with
     the known boundary cases reported as flags."""
-    results = []
+
+    def check(g):
+        ok, flag = inv.check_miller_moreno(g)
+        return ("flag" if ok and flag else ok), flag or ""
+
     for e in corpus(bound):
-        start = time.perf_counter()
-        ok, flag = inv.check_miller_moreno(e.group)
-        status = "fail" if not ok else "pass" if flag is None else "flag"
-        results.append(
-            CheckResult(
-                "miller_moreno",
-                f"miller_moreno({e.group.label})",
-                status,
-                flag or "",
-                time.perf_counter() - start,
-            )
-        )
-    return results
+        yield f"miller_moreno({e.group.label})", partial(check, e.group)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +444,8 @@ def _examples_cases(ctx: SweepContext, bound: int):
         yield "invariance(ic(D3;C6)=ic(Perm;C2xC3))", iso_invariance
 
 
-# Each entry is its own callable `(ctx, bound) -> list[CheckResult]`.
+# Each entry is its own callable `(ctx, bound) -> list[CheckResult]`, and
+# every one is a `_sweep` over its suite's cases.
 SUITES = {
     "triangle": _sweep("triangle", _triangle_cases),
     "bounds": _sweep("bounds", _bounds_cases),
@@ -469,7 +453,7 @@ SUITES = {
     "subadd": _sweep("subadd", _subadd_cases),
     "product": _sweep("product", _product_cases),
     "coordinate": _sweep("coordinate", _coordinate_cases),
-    "miller_moreno": suite_miller_moreno,
+    "miller_moreno": _sweep("miller_moreno", _miller_moreno_cases),
     "examples": _sweep("examples", _examples_cases),
 }
 

@@ -39,18 +39,15 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import BudgetExceeded, CheckFailed
-from .groups import INFINITE, ExtNat, Record, finite
+from .groups import INFINITE, ExtNat, Record, _bits, finite
 
 DEFAULT_NODE_BUDGET = 10**8
 
 
-class CoverInstance(
-    Record, namedtuple("CoverInstance", "universe_size candidates masks kept feasible")
-):
-    """Candidates are duplicate-free with dominated (subset) sets removed,
-    preserving first occurrence; `kept` maps back to caller positions.
-    `candidates` holds frozensets of points, `masks` the same sets as
-    bitmasks."""
+class CoverInstance(Record, namedtuple("CoverInstance", "universe_size masks kept feasible")):
+    """`masks` holds the candidate sets as bitmasks of points, duplicate-free
+    with dominated (subset) sets removed, preserving first occurrence;
+    `kept` maps back to caller positions."""
 
     __slots__ = ()
 
@@ -58,11 +55,14 @@ class CoverInstance(
 def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
     if universe_size < 1:
         raise ValueError("universe must be nonempty")
-    sets = [frozenset(s) for s in candidate_sets]
-    for s in sets:
-        if any(not 0 <= p < universe_size for p in s):
-            raise ValueError("candidate point outside universe")
-    masks = [sum(1 << p for p in s) for s in sets]
+    masks = []
+    for s in candidate_sets:
+        m = 0
+        for p in s:
+            if not 0 <= p < universe_size:
+                raise ValueError("candidate point outside universe")
+            m |= 1 << p
+        masks.append(m)
     # the first occurrence of each distinct nonempty set, and per point the
     # bitset of those first occurrences (by their rank) that hold it
     first: dict[int, int] = {}
@@ -87,7 +87,6 @@ def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
         union |= masks[j]
     return CoverInstance(
         universe_size=universe_size,
-        candidates=tuple(sets[j] for j in kept),
         masks=tuple(masks[j] for j in kept),
         kept=tuple(kept),
         feasible=union == full,
@@ -95,7 +94,7 @@ def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
 
 
 class CoverSolution(Record, namedtuple("CoverSolution", "value certificate")):
-    __slots__ = ()  # certificate: indices into instance candidates, or None
+    __slots__ = ()  # certificate: indices into instance masks, or None
 
 
 class _Budget:
@@ -108,14 +107,6 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("cover search exceeded node budget")
-
-
-def _bits(x: int):
-    """Indices of the set bits of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def _scan(point_bits, uncovered: int, allowed: int, planes: list[int] | None) -> int:

@@ -172,6 +172,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def validate_spec(spec: GroupSpec) -> None:
     """Raise InvalidSpec if a parameter constraint is violated."""
     if isinstance(spec, Cyclic):

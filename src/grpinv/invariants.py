@@ -19,6 +19,7 @@ from .groups import (
     FiniteGroup,
     GeneralizedQuaternion,
     Record,
+    _bits,
     _is_prime,
     build,
     direct_product,
@@ -37,7 +38,7 @@ from .lattice import (
 
 class CertEntry(Record, namedtuple("CertEntry", "subgroup embedding", defaults=(None,))):
     """One cover member; embedding[i] is the image in the target group of
-    subgroup.sorted_members[i] (present only for IC certificates)."""
+    subgroup.members[i] (present only for IC certificates)."""
 
     __slots__ = ()
 
@@ -68,14 +69,16 @@ def _point_sets(g: FiniteGroup, universe, candidates) -> list[frozenset[int]]:
     """For each candidate, the indices of the universe points it contains.
 
     A point is a cyclic subgroup <x>, and a subgroup contains <x> exactly
-    when it holds x, so each candidate's set comes from its members through
-    a map from one generator per point to that point's index.
+    when it holds x, so each candidate's set is read off the bits of its
+    mask ANDed with the mask of one generator per point.
     """
-    point = {
-        next(x for x in pt.members if g.elem_order[x] == pt.order): j
-        for j, pt in enumerate(universe)
-    }
-    return [frozenset(point[x] for x in c.members if x in point) for c in candidates]
+    point = {}  # generator -> index of its point
+    generators = 0
+    for j, pt in enumerate(universe):
+        x = next(x for x in _bits(pt.mask) if g.elem_order[x] == pt.order)
+        point[x] = j
+        generators |= 1 << x
+    return [frozenset(point[x] for x in _bits(c.mask & generators)) for c in candidates]
 
 
 def _solve(kind, g, target, universe, candidates, entries, node_budget):
@@ -147,8 +150,11 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
         if s.order == g.order or h.order % s.order:
             continue
         holders = -1
-        for x in s.members:
-            holders &= inside[x]
+        rest = s.mask
+        while rest:  # the bits of s.mask, inlined: this loop is the pass's hot spot
+            low = rest & -rest
+            rest ^= low
+            holders &= inside[low.bit_length() - 1]
             if not holders:
                 break
         if holders:
@@ -157,7 +163,7 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
         ws = embeds(sub, h)
         if ws is not None:
             bit = 1 << len(admissible)
-            for x in s.members:
+            for x in _bits(s.mask):
                 inside[x] |= bit
             admissible.append((s, ws))
     admissible.sort(key=lambda t: t[0].sort_key())
@@ -196,7 +202,7 @@ def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
                 return False
     for i in range(len(subs)):
         for j in range(i + 1, len(subs)):
-            joined = closure(g, subs[i].members | subs[j].members)
+            joined = closure(g, _bits(subs[i].mask | subs[j].mask))
             if joined.order == g.order or h.order % joined.order:
                 continue
             sub, _ = as_group(g, joined)

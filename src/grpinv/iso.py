@@ -38,14 +38,14 @@ def greedy_generators(g: FiniteGroup) -> list[int]:
     """Small generating set: repeatedly adjoin a highest-order element
     outside the current closure (ties broken by index)."""
     gens: list[int] = []
-    covered = closure(g, [0])
+    covered = closure(g, gens)
     while covered.order < g.order:
         best = min(
             (a for a in range(g.order) if not covered.mask >> a & 1),
             key=lambda a: (-g.elem_order[a], a),
         )
         gens.append(best)
-        covered = closure(g, covered.members | {best})
+        covered = closure(g, gens)
     return gens
 
 

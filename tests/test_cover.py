@@ -8,7 +8,7 @@ import pytest
 import grpinv.invariants
 from grpinv.cover import CoverSolution, make_instance, min_cover, validate_cover
 from grpinv.errors import BudgetExceeded
-from grpinv.groups import INFINITE, Cyclic, Product, build, finite
+from grpinv.groups import INFINITE, Cyclic, Product, _bits, build, finite
 from grpinv.invariants import ic
 
 
@@ -119,7 +119,7 @@ def test_worked_example():
     inst = make_instance(3, [{0, 1}, {1, 2}, {0, 2}])
     sol = min_cover(inst)
     assert sol.value == finite(2)
-    assert [set(inst.candidates[i]) for i in sol.certificate] == [{0, 1}, {1, 2}]
+    assert [inst.masks[i] for i in sol.certificate] == [0b011, 0b110]
 
 
 def test_singleton_and_infeasible():
@@ -142,7 +142,7 @@ def test_validate_cover_rejects_doctored_solutions():
 
 def test_duplicate_and_dominated_candidates_removed():
     inst = make_instance(3, [{0}, {0, 1}, {0, 1}, {2}, set()])
-    assert inst.candidates == (frozenset({0, 1}), frozenset({2}))
+    assert inst.masks == (0b011, 0b100)
     assert inst.kept == (1, 3)
     sol = min_cover(inst)
     assert sol.value == finite(2)
@@ -166,7 +166,7 @@ def test_value_invariant_under_candidate_permutation():
     rng = random.Random(1234)
     for _ in range(60):
         inst = random_instance(rng)
-        sets = list(inst.candidates)
+        sets = [list(_bits(m)) for m in inst.masks]
         shuffled = sets[:]
         rng.shuffle(shuffled)
         permuted = make_instance(inst.universe_size, shuffled)

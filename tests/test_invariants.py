@@ -108,7 +108,7 @@ def test_sigma_c_equals_maximal_cyclic_count():
         g = e.group
         if g.is_cyclic:
             continue
-        assert sigma_c(g).value == finite(len(all_subgroups(g).maximal_cyclic)), g.label
+        assert sigma_c(g).value == finite(len(all_subgroups(g).maximal_cyclic_subgroups)), g.label
 
 
 def test_sigma_at_least_three_and_below_sigma_c():

@@ -88,6 +88,27 @@ def test_greedy_generators_generate():
         assert closure(g, set(gens) | {0}).order == g.order
 
 
+def reference_greedy_generators(g):
+    """The loop that closed over the members gathered so far plus the new
+    element, instead of over the generators."""
+    gens = []
+    covered = closure(g, [0])
+    while covered.order < g.order:
+        best = min(
+            (a for a in range(g.order) if not covered.mask >> a & 1),
+            key=lambda a: (-g.elem_order[a], a),
+        )
+        gens.append(best)
+        covered = closure(g, set(covered.members) | {best})
+    return gens
+
+
+def test_greedy_generators_match_the_members_closure():
+    for entry in corpus(16):
+        g = entry.group
+        assert greedy_generators(g) == reference_greedy_generators(g), g.label
+
+
 def test_embeds_examples():
     q8 = build(GeneralizedQuaternion(8))
     c2 = build(Cyclic(2))

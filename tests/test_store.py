@@ -59,7 +59,7 @@ def test_relabelled_views_keep_their_labels_and_share_one_table():
     (a, elems_a), (b, elems_b) = as_group(g, s), as_group(g2, s)
     assert a.label == f"C2^3|{s.order}@{s.mask:x}"
     assert b.label == f"another C2^3|{s.order}@{s.mask:x}"
-    assert a == b and a.table is b.table and elems_a == elems_b == s.sorted_members
+    assert a == b and a.table is b.table and elems_a == elems_b == s.members
 
     c2, s3 = build(Cyclic(2)), build(Dihedral(3))
     named = _finalize("two", [list(row) for row in c2.table])
