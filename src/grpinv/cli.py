@@ -32,7 +32,7 @@ from .groups import (
 )
 from .invariants import InvariantReport, ic, sigma, sigma_c
 from .iso import embeds
-from .lattice import all_subgroups, cyclic_subgroups, maximal_filter
+from .lattice import all_subgroups, cyclic_subgroups
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_common(p, n_specs: int):
-    p.add_argument("spec", nargs=n_specs if n_specs > 1 else None)
+    p.add_argument("spec", nargs=n_specs)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.add_argument("--certificate", action="store_true", help="include the certificate")
     p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER)
@@ -412,11 +412,6 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.command in ("ic", "sigma", "sigmac"):
-            if args.command == "ic" and len(args.spec) != 2:
-                print("usage error: ic takes two specs", file=sys.stderr)
-                return 1
-            if isinstance(args.spec, str):
-                args.spec = [args.spec]
             return _cmd_invariant(args)
         if args.command == "lattice":
             return _cmd_lattice(args)

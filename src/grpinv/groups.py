@@ -5,14 +5,14 @@ deterministic: a given spec always realizes the same table, so certificates
 and JSON output are reproducible across runs.  Every table is validated
 before it becomes a group, associativity included, exhaustively at every
 order (Light's test over a generating set; see `_validate_table`).  Groups
-are identified by their tables: equal tables validate once and make equal
-groups (see `_finalize`).
+are identified by their tables: equal tables validate once, in an
+`lru_cache` of the last CACHE_SIZE valid tables, and make equal groups (see
+`_finalize`).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -22,7 +22,7 @@ from .errors import InvalidSpec, OrderLimitExceeded
 DEFAULT_MAX_ORDER = 128
 HARD_MAX_ORDER = 512
 # Entries kept by each content-keyed cache: the table store below and the
-# lattice, embedding and cyclic-spectrum caches keyed on groups.
+# lattice, embedding, subgroup-table and product caches keyed on groups.
 CACHE_SIZE = 1024
 
 
@@ -348,9 +348,10 @@ class FiniteGroup(
         return all(t[a][b] == t[b][a] for a in range(n) for b in range(a))
 
 
-def _validate_table(label: str, table: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Check that `table` is a group's Cayley table with identity 0 and
-    return its rows as tuples; raise ValueError otherwise.
+def _validate_table(rows: tuple[tuple[int, ...], ...]) -> None:
+    """Check that `rows` is a group's Cayley table with identity 0; raise
+    ValueError otherwise, with a message that the caller prefixes with the
+    group's label.
 
     Associativity is checked exhaustively by Light's test: (xs)y = x(sy) for
     every x, y and every s in a generating set.  The elements satisfying that
@@ -361,17 +362,16 @@ def _validate_table(label: str, table: list[list[int]]) -> tuple[tuple[int, ...]
     so assumes no associativity.  The cost is O(n^2) per generator, and a
     group needs at most log2(n) of them.
     """
-    n = len(table)
-    rows = tuple(map(tuple, table))
+    n = len(rows)
     elements = tuple(range(n))
     if (
         n == 0
         or set(map(len, rows)) != {n}
         or not set(elements).issuperset(chain.from_iterable(rows))
     ):
-        raise ValueError(f"{label}: malformed Cayley table")
+        raise ValueError("malformed Cayley table")
     if rows[0] != elements or next(zip(*rows)) != elements:
-        raise ValueError(f"{label}: element 0 is not an identity")
+        raise ValueError("element 0 is not an identity")
     gens: list[int] = []
     reached = [0]
     seen = bytearray(n)
@@ -400,52 +400,44 @@ def _validate_table(label: str, table: list[list[int]]) -> tuple[tuple[int, ...]
         for x, row in enumerate(rows):
             if rows[row[s]] != s_then(row):
                 y = next(y for y in elements if rows[row[s]][y] != row[rows[s][y]])
-                raise ValueError(f"{label}: operation is not associative at ({x},{s},{y})")
-    return rows
+                raise ValueError(f"operation is not associative at ({x},{s},{y})")
 
 
-# Validated tables by content, least recently used first: rows -> (rows,
-# inverse, element orders, hash of rows).
-_STORE: OrderedDict[tuple[tuple[int, ...], ...], tuple] = OrderedDict()
-_STORE_LOCK = threading.Lock()
+@lru_cache(maxsize=CACHE_SIZE)
+def _checked(rows: tuple[tuple[int, ...], ...]) -> tuple:
+    """(rows, inverse, element orders, hash of rows) for a valid table.
+
+    Cached by content, so each distinct table is validated once while it
+    stays among the last CACHE_SIZE, and equal tables share one rows object.
+    A table that fails raises, and `lru_cache` keeps no exception.
+    """
+    _validate_table(rows)
+    inverse = []
+    for a, row in enumerate(rows):
+        if 0 not in row:
+            raise ValueError(f"element {a} has no inverse")
+        inverse.append(row.index(0))
+    orders = []
+    for a in range(len(rows)):
+        x = a
+        m = 1
+        while x != 0:
+            x = rows[x][a]
+            m += 1
+        orders.append(m)
+    return rows, tuple(inverse), tuple(orders), hash(rows)
 
 
 def _finalize(label: str, table: list[list[int]]) -> FiniteGroup:
     """The group on `table`, labelled `label`.
 
-    A table is validated, and its inverses and element orders derived, the
-    first time it is seen; the result is kept in a store of the last
-    CACHE_SIZE tables, and every later group on an equal table shares it,
-    rows included, so that equality is mostly an identity test.  Only
-    tables that passed validation enter the store.
+    Every group on an equal table shares the checked rows (see `_checked`),
+    so equality is mostly an identity test.
     """
-    key = tuple(map(tuple, table))
-    with _STORE_LOCK:
-        entry = _STORE.get(key)
-        if entry is not None:
-            _STORE.move_to_end(key)
-    if entry is None:
-        rows = _validate_table(label, key)
-        n = len(rows)
-        inverse = []
-        for a, row in enumerate(rows):
-            if 0 not in row:
-                raise ValueError(f"{label}: element {a} has no inverse")
-            inverse.append(row.index(0))
-        orders = [0] * n
-        for a in range(n):
-            x = a
-            m = 1
-            while x != 0:
-                x = rows[x][a]
-                m += 1
-            orders[a] = m
-        entry = (rows, tuple(inverse), tuple(orders), hash(rows))
-        with _STORE_LOCK:
-            _STORE[rows] = entry
-            if len(_STORE) > CACHE_SIZE:
-                _STORE.popitem(last=False)
-    rows, inverse, orders, table_hash = entry
+    try:
+        rows, inverse, orders, table_hash = _checked(tuple(map(tuple, table)))
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
     return FiniteGroup(
         label=label,
         order=len(rows),

@@ -159,8 +159,7 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
                 break
         if holders:
             continue  # inside an admissible subgroup, so it embeds too
-        sub, _ = as_group(g, s)
-        ws = embeds(sub, h)
+        ws = embeds(as_group(g, s), h)
         if ws is not None:
             bit = 1 << len(admissible)
             for x in _bits(s.mask):
@@ -205,8 +204,7 @@ def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
             joined = closure(g, _bits(subs[i].mask | subs[j].mask))
             if joined.order == g.order or h.order % joined.order:
                 continue
-            sub, _ = as_group(g, joined)
-            if embeds(sub, h) is not None:
+            if embeds(as_group(g, joined), h) is not None:
                 return False
     return True
 
@@ -247,8 +245,7 @@ def certificate_sound(report: InvariantReport) -> bool:
         if report.kind == "ic":
             if e.embedding is None or report.target is None:
                 return False
-            sub, _ = as_group(g, s)
-            if not is_embedding(sub, report.target, e.embedding):
+            if not is_embedding(as_group(g, s), report.target, e.embedding):
                 return False
     return True
 
@@ -303,7 +300,7 @@ def check_subadditivity(g, h, a: Subgroup, b: Subgroup, c: Subgroup, *, ic_fn=No
     if a.mask | b.mask | c.mask != full:
         raise InvalidPartition("parts do not cover G")
     f = ic_fn or (lambda x, y: ic(x, y).value)
-    parts = [f(as_group(g, part)[0], h) for part in (a, b, c)]
+    parts = [f(as_group(g, part), h) for part in (a, b, c)]
     whole = f(g, h)
     return max(parts) <= whole <= parts[0] + parts[1] + parts[2]
 

@@ -1,6 +1,7 @@
 """Order spectra, isomorphism search, and subgroup-embedding tests.
 
-are_isomorphic backtracks over images of a greedy generating set, extending
+are_isomorphic rejects on two cheap invariants, the order and the order
+spectrum, then backtracks over images of a greedy generating set, extending
 the partial map through subgroup closure so violations surface long before a
 full assignment.  embeds reuses the subgroup lattice of the target: K embeds
 in H iff some subgroup of H of order |K| is isomorphic to K.
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 from .errors import CheckFailed
 from .groups import CACHE_SIZE, FiniteGroup
-from .lattice import all_subgroups, as_group, closure, cyclic_subgroups
+from .lattice import all_subgroups, as_group, closure
 
 EmbeddingWitness = tuple[int, ...]
 
@@ -88,22 +89,18 @@ def _extend(g, h, phi, elems, used, new_elem, image):
     return phi, elems, used
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _cyclic_order_multiset(g: FiniteGroup) -> tuple[int, ...]:
-    return tuple(sorted(s.order for s in cyclic_subgroups(g)))
-
-
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
     """A witness bijective homomorphism G -> H, or None.
 
-    Cheap invariants (order, order spectrum, multiset of cyclic subgroup
-    orders) reject most non-isomorphic pairs before the backtracking search.
+    Two cheap invariants, the order and the order spectrum, reject most
+    non-isomorphic pairs before the backtracking search.  The multiset of
+    cyclic subgroup orders would add nothing: a group has N_d/phi(d) cyclic
+    subgroups of order d, for N_d its elements of order d, so equal spectra
+    give equal multisets.
     """
     if g.order != h.order:
         return None
     if order_spectrum(g) != order_spectrum(h):
-        return None
-    if _cyclic_order_multiset(g) != _cyclic_order_multiset(h):
         return None
     gens = greedy_generators(g)
     if not gens:
@@ -169,9 +166,9 @@ def embeds(k: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
     for s in lat.all:
         if s.order != k.order:
             continue
-        sub, elems = as_group(h, s)
-        w = are_isomorphic(k, sub)
+        w = are_isomorphic(k, as_group(h, s))
         if w is not None:
+            elems = s.members
             witness = tuple(elems[w[i]] for i in range(k.order))
             if not is_embedding(k, h, witness):
                 raise CheckFailed(f"embedding {k.label} -> {h.label} failed re-validation")

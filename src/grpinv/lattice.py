@@ -4,9 +4,10 @@ A subgroup is stored as one bitmask over the parent group's element indices,
 and `Subgroup.members` derives its elements from the mask, ascending, when a
 caller asks for them.  Without a second copy of each element set, the
 lattice of C2^6 retains 0.34 MB instead of 2.16 MB and that of C2^7 3.78 MB
-instead of 28.15 MB (tracemalloc, after the cache is cleared).  The
-canonical order everywhere is (order, mask ascending), which keeps
-certificates and JSON output stable across runs.
+instead of 28.15 MB (tracemalloc, after the cache is cleared).  `as_group`
+makes a subgroup a group of its own whose element i is `members[i]`, so it
+returns the group alone.  The canonical order everywhere is (order, mask
+ascending), which keeps certificates and JSON output stable across runs.
 
 Every join goes through one kernel, `_join`: the join of a subgroup S with
 <c> is the union of the right cosets S*r it contains, and S*r*t = S*(r*t),
@@ -29,7 +30,7 @@ from .errors import BudgetExceeded
 from .groups import CACHE_SIZE, INFINITE, ExtNat, FiniteGroup, Record, _bits, _finalize
 from .groups import _is_prime, finite
 
-DEFAULT_MAX_SUBGROUPS = 200_000
+MAX_SUBGROUPS = 200_000
 
 
 class Subgroup(Record, namedtuple("Subgroup", "mask order parent_order is_cyclic")):
@@ -131,9 +132,7 @@ def maximal_filter(subgroups, restrict_to_cyclic: bool = False) -> list[Subgroup
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def all_subgroups(
-    g: FiniteGroup, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
-) -> SubgroupLattice:
+def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     """Complete subgroup lattice by layered join-closure from cyclic atoms.
 
     Every subgroup is a join of cyclic subgroups, so saturating joins of
@@ -188,9 +187,9 @@ def all_subgroups(
                 gens[mask] = jgens
                 elems[mask] = members
                 fresh.append(sub)
-                if len(known) > max_subgroups:
+                if len(known) > MAX_SUBGROUPS:
                     raise BudgetExceeded(
-                        f"{g.label}: subgroup count exceeds {max_subgroups}"
+                        f"{g.label}: subgroup count exceeds {MAX_SUBGROUPS}"
                     )
         frontier = fresh
     ordered = sorted(known.values(), key=Subgroup.sort_key)
@@ -232,21 +231,20 @@ def _totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
-def as_group(g: FiniteGroup, s: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
+def as_group(g: FiniteGroup, s: Subgroup) -> FiniteGroup:
     """Materialize a subgroup with its own table.
 
-    Returns (subgroup as group, element map new index -> parent index);
-    elements are reindexed by ascending parent index, keeping identity at 0.
-    The table is built once per (parent table, mask) (see `_subgroup_table`);
-    each call returns a view of it labelled after its own parent.
+    Element i of the result is element `s.members[i]` of the parent, so the
+    identity stays at 0.  The table is built once per (parent table, mask)
+    (see `_subgroup_table`); each call returns a view of it labelled after
+    its own parent.
     """
-    h, elems = _subgroup_table(g, s.mask)
-    return h._replace(label=f"{g.label}|{s.order}@{s.mask:x}"), elems
+    return _subgroup_table(g, s.mask)._replace(label=f"{g.label}|{s.order}@{s.mask:x}")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _subgroup_table(g: FiniteGroup, mask: int) -> tuple[FiniteGroup, tuple[int, ...]]:
-    elems = tuple(a for a in range(g.order) if mask >> a & 1)
+def _subgroup_table(g: FiniteGroup, mask: int) -> FiniteGroup:
+    elems = tuple(_bits(mask))
     back = {a: i for i, a in enumerate(elems)}
     table = [[back[g.table[a][b]] for b in elems] for a in elems]
-    return _finalize(f"{g.label}|{len(elems)}@{mask:x}", table), elems
+    return _finalize(f"{g.label}|{len(elems)}@{mask:x}", table)

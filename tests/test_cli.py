@@ -422,10 +422,11 @@ def test_cli_import_loads_no_numpy():
     """Start-up stays lean: importing the CLI, without `site` so nothing else
     is loaded first, pulls in neither numpy nor the heavy standard modules
     (`dataclasses` brings `inspect`, `ast` and `tokenize`; `fractions` brings
-    `decimal`)."""
+    `decimal`; `threading` brings `_weakrefset`)."""
     proc = _python(
         "import grpinv.cli, sys\n"
-        "print(sorted({'numpy', 'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))",
+        "print(sorted({'numpy', 'dataclasses', 'inspect', 'fractions', 'threading'}"
+        " & set(sys.modules)))",
         "-S",
     )
     assert proc.returncode == 0, proc.stderr

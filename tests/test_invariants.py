@@ -197,7 +197,7 @@ def brute_force_ic(g, h):
     """
     pool = []
     for s in all_subgroups(g).all:
-        sub, _ = as_group(g, s)
+        sub = as_group(g, s)
         if embeds(sub, h) is not None:
             pool.append(s)
     full = (1 << g.order) - 1
@@ -324,7 +324,7 @@ def test_optimality_validator_rejects_mergeable_pairs():
     atoms = [s for s in all_subgroups(g).all if s.order == 2]
     entries = []
     for s in atoms:
-        sub, _ = as_group(g, s)
+        sub = as_group(g, s)
         entries.append(CertEntry(s, embeds(sub, h)))
     fake = InvariantReport("ic", g, h, finite(7), tuple(entries))
     assert not validate_optimal_ic_certificate(fake)

@@ -1,6 +1,7 @@
 """Isomorphism and embedding search against exhaustive bijection scans."""
 
 import itertools
+import math
 
 import pytest
 
@@ -21,7 +22,7 @@ from grpinv.iso import (
     order_spectrum,
     spectrum_dominates,
 )
-from grpinv.lattice import closure
+from grpinv.lattice import closure, cyclic_subgroups
 
 
 def exhaustive_isomorphism_exists(g, h):
@@ -107,6 +108,37 @@ def test_greedy_generators_match_the_members_closure():
     for entry in corpus(16):
         g = entry.group
         assert greedy_generators(g) == reference_greedy_generators(g), g.label
+
+
+def reference_cyclic_order_multiset(g):
+    """The filter `are_isomorphic` once applied after the order spectrum:
+    the sorted orders of the cyclic subgroups."""
+    return tuple(sorted(s.order for s in cyclic_subgroups(g)))
+
+
+def reference_are_isomorphic(g, h):
+    if reference_cyclic_order_multiset(g) != reference_cyclic_order_multiset(h):
+        return None
+    return are_isomorphic(g, h)
+
+
+def test_cyclic_order_multiset_follows_from_the_order_spectrum():
+    # <x> of order d has phi(d) generators, so N_d elements of order d make
+    # N_d / phi(d) cyclic subgroups of order d.
+    for entry in corpus(48):
+        g = entry.group
+        derived = []
+        for d, count in order_spectrum(g).items():
+            phi = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+            derived += [d] * (count // phi)
+        assert reference_cyclic_order_multiset(g) == tuple(derived), g.label
+
+
+def test_are_isomorphic_needs_no_cyclic_order_filter():
+    groups = [e.group for e in corpus(24)]
+    for g, h in itertools.product(groups, repeat=2):
+        if g.order == h.order:
+            assert are_isomorphic(g, h) == reference_are_isomorphic(g, h), (g.label, h.label)
 
 
 def test_embeds_examples():

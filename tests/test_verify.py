@@ -94,7 +94,9 @@ def test_bounds_suite_computes_sigma_once_per_group(monkeypatch):
     assert results and all(r.status == "pass" for r in results)
     assert calls and max(calls.values()) == 1
     # sigma and sigma_c stay out of the ledger: it counts the finite IC values
-    assert ctx.certificates_checked == sum(v.is_finite for v in ctx._ic.values())
+    assert ctx.certificates_checked == sum(
+        v.is_finite for key, v in ctx._values.items() if key[0] == "ic"
+    )
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5])
