@@ -20,7 +20,7 @@ from operator import itemgetter
 from .errors import InvalidSpec, OrderLimitExceeded
 
 DEFAULT_MAX_ORDER = 128
-HARD_MAX_ORDER = 512
+HARD_MAX_ORDER = 720
 # Entries kept by each content-keyed cache: the table store below and the
 # lattice, embedding, subgroup-table and product caches keyed on groups.
 CACHE_SIZE = 1024

@@ -14,10 +14,23 @@ Every join goes through one kernel, `_join`: the join of a subgroup S with
 so only coset representatives are multiplied by the generators of S and c.
 The lattice keeps a generating list per subgroup for this; each list has at
 most log2|G| entries, because every join that adds an element at least
-doubles the order.  When [S v <c> : S] is prime, no subgroup lies strictly
-between S and J = S v <c>, so every atom inside J joins S to J again; the
-lattice skips those joins, which leaves what it finds, and in which order,
-unchanged.
+doubles the order.  A join stops as soon as the union passes the largest
+proper divisor of |G| that is a multiple of |S|: by Lagrange only G is that
+large.  When [S v <c> : S] is prime, no subgroup lies strictly between S
+and J = S v <c>, so every atom inside J joins S to J again; the lattice
+skips those joins.
+
+The lattice is closed under conjugation, and conjugation commutes with
+joins: (S^x v <c>) = (S v <x c x^-1>)^x.  So only one subgroup per
+conjugacy class is joined with the atoms.  A join that finds a new
+subgroup J adds J's whole class, by a breadth-first search under
+conjugation by the non-central members of a generating set of G (none when
+G is abelian), and only J goes on to the next layer.  Conjugates cost |J|
+lookups each and no closure, and the final sort leaves the lattice, and
+every certificate built on it, as it was without the classes.  Any set of
+conjugations would keep the lattice complete, since the known subgroups
+stay a union of orbits; a generating set makes the orbits whole classes,
+which is what saves the joins.
 """
 
 from __future__ import annotations
@@ -69,14 +82,17 @@ class SubgroupLattice(
     __slots__ = ()
 
 
-def _join(table, members, mask, gens, new):
+def _join(table, members, mask, gens, new, cap=math.inf):
     """Members, mask and generators of <S, new>, for the subgroup S given by
     its members, mask and generating list.
 
     The result is built as a union of right cosets S*r, starting from S
     itself: each representative r is multiplied by every generator t, and a
     product outside the union so far opens the fresh coset S*(r*t).  Costs
-    |J| + (|J|/|S|)*len(gens) table lookups for the join J.
+    |J| + (|J|/|S|)*len(gens) table lookups for the join J.  Once the union
+    holds more than `cap` elements, the whole group is returned: with cap
+    the largest proper divisor of |G| that is a multiple of |S|, Lagrange
+    leaves G as the only subgroup that large.
     """
     if mask >> new & 1:
         return members, mask, gens
@@ -93,6 +109,8 @@ def _join(table, members, mask, gens, new):
                     e = table[a][x]
                     elems.append(e)
                     mask |= 1 << e
+                if len(elems) > cap:
+                    return range(len(table)), (1 << len(table)) - 1, gens
     return elems, mask, gens
 
 
@@ -124,8 +142,16 @@ def maximal_filter(subgroups, restrict_to_cyclic: bool = False) -> list[Subgroup
     pool = [s for s in subgroups if s.is_cyclic] if restrict_to_cyclic else list(subgroups)
     pool.sort(key=Subgroup.sort_key, reverse=True)
     kept: list[Subgroup] = []
+    order = 0
     for s in pool:
-        if not any(k.order > s.order and k.contains(s) for k in kept):
+        if s.order != order:
+            # the masks of the kept subgroups of order above that of s
+            order, larger = s.order, [k.mask for k in kept]
+        m = s.mask
+        for k in larger:
+            if m & k == m:
+                break
+        else:
             kept.append(s)
     kept.sort(key=Subgroup.sort_key)
     return kept
@@ -133,26 +159,67 @@ def maximal_filter(subgroups, restrict_to_cyclic: bool = False) -> list[Subgroup
 
 @lru_cache(maxsize=CACHE_SIZE)
 def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
-    """Complete subgroup lattice by layered join-closure from cyclic atoms.
+    """Complete subgroup lattice by layered join-closure from cyclic atoms,
+    expanding one subgroup per conjugacy class.
 
     Every subgroup is a join of cyclic subgroups, so saturating joins of
     known subgroups with cyclic atoms reaches all of them without the 2^|G|
-    subset scan.  Each subgroup keeps the generating list it was first
-    reached by: one generator per cyclic atom adjoined on the way.  A join
-    that finds a new subgroup at least doubles the order, so no list exceeds
-    log2|G| entries, and `_join` closes S v <c> as a union of right cosets
-    of S in about |S v <c>| table lookups.  Atoms inside a join of prime
-    index over S are skipped for S: they would return that join again.
-    Cached by table, so relabelled copies of a group share one lattice.
+    subset scan.  Only class representatives are joined: a new join J brings
+    its whole conjugacy class into the lattice, and only J is expanded.
+    Nothing is missed, because (S^x v <c>) = (S v <x c x^-1>)^x and every
+    atom is tried on S.  Each representative keeps the generating list it
+    was first reached by, at most log2|G| long, and `_join` closes S v <c>
+    as a union of right cosets of S, returning G as soon as the union is
+    too large for a proper subgroup.  Atoms inside a join of prime index
+    over S are skipped for S: they would return that join again.  Cached by
+    table, so relabelled copies of a group share one lattice.
     """
     table = g.table
+    n = g.order
     cyclics = cyclic_subgroups(g)
     atoms = [
         (c.mask, next(a for a in _bits(c.mask) if g.elem_order[a] == c.order))
         for c in cyclics
         if c.order > 1
     ]
+    full_mask = (1 << n) - 1
+    # for each proper divisor d of |G|, the largest proper divisor of |G|
+    # that d divides: the early-exit bound of `_join` for |S| = d
+    caps = {
+        d: n // next(p for p in range(2, n + 1) if n // d % p == 0)
+        for d in range(1, n)
+        if n % d == 0
+    }
+    # conjugation by the non-central members of a generating set of G; the
+    # classes are the orbits under it, and it is empty when G is abelian
+    members, mask, ggens = [0], 1, []
+    for _, c in reversed(atoms):
+        if mask != full_mask:
+            members, mask, ggens = _join(table, members, mask, ggens, c)
+    conjugations = [
+        [table[table[g.inverse[t]][x]][t] for x in range(n)]
+        for t in ggens
+        if any(table[t][u] != table[u][t] for u in ggens)
+    ]
+
+    def conjugacy_class(mask):
+        masks = [mask]
+        for m in masks:
+            for perm in conjugations:
+                x = 0
+                for a in _bits(m):
+                    x |= 1 << perm[a]
+                if x not in masks:
+                    masks.append(x)
+        return masks
+
     known: dict[int, Subgroup] = {c.mask: c for c in cyclics}
+    frontier = []
+    seen: set[int] = set()
+    for c in cyclics:
+        if c.mask not in seen:
+            frontier.append(c)
+            seen.update(conjugacy_class(c.mask))
     # The generating lists and member lists live here, by mask, and not on
     # `Subgroup`: a generating list depends on the route by which a subgroup
     # was found, so equal subgroups from `closure`, `make_subgroup` and the
@@ -160,9 +227,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     # join that found its subgroup until that subgroup is expanded.
     gens: dict[int, list[int]] = {mask: [a] for mask, a in atoms}
     gens[1] = []
-    elems: dict[int, list[int]] = {c.mask: list(_bits(c.mask)) for c in cyclics}
-    frontier = list(cyclics)
-    full_mask = (1 << g.order) - 1
+    elems: dict[int, list[int]] = {c.mask: list(_bits(c.mask)) for c in frontier}
     while frontier:
         fresh: list[Subgroup] = []
         for s in frontier:
@@ -175,18 +240,19 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
             for cmask, c in atoms:
                 if cmask & ~smask == 0 or settled >> c & 1:
                     continue
-                members, mask, jgens = _join(table, smembers, smask, sgens, c)
+                members, mask, jgens = _join(table, smembers, smask, sgens, c, caps[s.order])
                 if _is_prime(len(members) // s.order):
                     settled |= mask
                 if mask in known:
                     continue
-                # every cyclic subgroup is known from the start, so a new
-                # join is not cyclic
-                sub = Subgroup(mask, len(members), g.order, False)
-                known[mask] = sub
+                # every cyclic subgroup is known from the start, and the
+                # known subgroups are whole classes, so the class of a new
+                # join is new and not cyclic
+                for x in conjugacy_class(mask):
+                    known[x] = Subgroup(x, len(members), n, False)
                 gens[mask] = jgens
                 elems[mask] = members
-                fresh.append(sub)
+                fresh.append(known[mask])
                 if len(known) > MAX_SUBGROUPS:
                     raise BudgetExceeded(
                         f"{g.label}: subgroup count exceeds {MAX_SUBGROUPS}"

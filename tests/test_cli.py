@@ -215,6 +215,14 @@ def test_max_order_flag(capsys):
     assert code == 0 and out.strip() == "infinite (cyclic group)"
 
 
+def test_max_order_is_capped_at_720(capsys):
+    code, out, err = run(capsys, "sigma", "D4", "--max-order", "721")
+    assert code == 1 and out == ""
+    assert err == "usage error: --max-order is capped at 720\n"
+    code, out, _ = run(capsys, "sigma", "D4", "--max-order", "720")
+    assert code == 0 and out.strip() == "3"
+
+
 def test_long_power_fails_on_the_order_limit():
     proc = _python("import sys\nfrom grpinv.cli import main\nsys.exit(main(['sigma', 'C2^2000']))")
     assert proc.returncode == 2

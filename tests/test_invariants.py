@@ -9,6 +9,7 @@ from grpinv.cli import parse_spec
 from grpinv.corpus import corpus
 from grpinv.errors import BudgetExceeded, InvalidPartition
 from grpinv.groups import (
+    HARD_MAX_ORDER,
     INFINITE,
     Cyclic,
     Dihedral,
@@ -126,6 +127,23 @@ def test_certificates_are_sound():
         for report in (sigma(g), sigma_c(g)):
             assert certificate_sound(report)
             assert len(report.certificate) == report.value.value
+
+
+@pytest.mark.parametrize(
+    "spec,value",
+    [
+        # S6 is the union of 13 proper subgroups and of no fewer (Abdollahi,
+        # Ashraf and Shaker, 2007)
+        (PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),)), 6), 13),
+        (PermGroup((((1, 2, 3),), ((2, 3, 4, 5, 6),)), 6), 16),
+    ],
+    ids=["S6", "A6"],
+)
+def test_sigma_of_s6_and_a6(spec, value):
+    report = sigma(build(spec, max_order=HARD_MAX_ORDER))
+    assert report.value == finite(value)
+    assert len(report.certificate) == value
+    assert certificate_sound(report)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from grpinv.groups import (
     INFINITE,
     Cyclic,
     Dihedral,
+    HARD_MAX_ORDER,
     GeneralizedQuaternion,
     PermGroup,
     Product,
@@ -39,6 +40,8 @@ from grpinv.lattice import (
 S4 = PermGroup((((1, 2, 3, 4),), ((1, 2),)), 4)
 A5 = PermGroup((((1, 2, 3),), ((3, 4, 5),)), 5)
 S5 = PermGroup((((1, 2, 3, 4, 5),), ((1, 2),)), 5)
+A6 = PermGroup((((1, 2, 3),), ((2, 3, 4, 5, 6),)), 6)
+S6 = PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),)), 6)
 
 
 def brute_force_subgroup_masks(g):
@@ -131,13 +134,15 @@ def divisor_sum(n):
         (S4, 30),
         (A5, 59),
         (S5, 156),
+        (A6, 501),
+        (S6, 1455),
         # D_n has tau(n) rotation subgroups and sigma(n) others
         *((Dihedral(n), divisor_count(n) + divisor_sum(n)) for n in (12, 24, 48)),
     ],
-    ids=["S4", "A5", "S5", "D12", "D24", "D48"],
+    ids=["S4", "A5", "S5", "A6", "S6", "D12", "D24", "D48"],
 )
 def test_subgroup_counts_match_closed_forms(spec, count):
-    assert len(all_subgroups(build(spec)).all) == count
+    assert len(all_subgroups(build(spec, max_order=HARD_MAX_ORDER)).all) == count
 
 
 def gaussian_binomial(n, k, q):
@@ -161,8 +166,9 @@ def test_elementary_abelian_subgroup_counts(p, n, count):
 
 
 def reference_all_subgroups(g):
-    """The join loop without the prime-index skip: every subgroup is joined
-    with every cyclic atom it does not contain."""
+    """The join loop without the prime-index skip, the conjugacy classes or
+    the early exit of `_join`: every subgroup is joined with every cyclic
+    atom it does not contain, and each join is closed in full."""
     cyclics = cyclic_subgroups(g)
     atoms = [
         (c.mask, next(a for a in c.members if g.elem_order[a] == c.order))
@@ -203,8 +209,20 @@ def reference_all_subgroups(g):
         Product((Cyclic(2),) * 5),
         Product((Cyclic(3),) * 3),
         Product((Product((Cyclic(2),) * 2), Cyclic(4))),
+        A5,
+        S5,
+        Dihedral(24),
+        Dihedral(48),
+        Product((SemidirectPQ(7, 3), Cyclic(3))),
+        Product((Dihedral(5), Product((Cyclic(2),) * 2))),
+        Product((Dihedral(3), Dihedral(3))),
+        Product((S4, Cyclic(2))),
+        Product((Product((Cyclic(2),) * 4), Cyclic(4))),
     ],
-    ids=["S4", "D12", "Q8xC2^2", "C2^5", "C3^3", "C2^2xC4"],
+    ids=[
+        "S4", "D12", "Q8xC2^2", "C2^5", "C3^3", "C2^2xC4", "A5", "S5", "D24", "D48",
+        "SD(7,3)xC3", "D5xC2^2", "D3xD3", "S4xC2", "C2^4xC4",
+    ],
 )
 def test_prime_index_skip_matches_unskipped_joins(spec):
     g = build(spec)
