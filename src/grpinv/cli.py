@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 
 from . import __version__
 from .corpus import SUITE_NAMES, run_suites
@@ -298,12 +299,13 @@ def _cmd_verify(args) -> int:
     by_suite: dict[str, list] = {}
     for r in report.results:
         by_suite.setdefault(r.suite, []).append(r)
+    counts = {suite: Counter(r.status for r in rs) for suite, rs in by_suite.items()}
     if args.json:
         doc = _base_doc("verify", names or list(SUITE_NAMES), started, args.max_order or 0)
         doc["suites"] = {
             suite: {
                 "checks": len(rs),
-                "pass": sum(1 for r in rs if r.status == "pass"),
+                "pass": counts[suite]["pass"],
                 "fail": [{"name": r.name, "detail": r.detail} for r in rs if r.status == "fail"],
                 "flag": [{"name": r.name, "detail": r.detail} for r in rs if r.status == "flag"],
                 "skip": [{"name": r.name, "detail": r.detail} for r in rs if r.status == "skip"],
@@ -327,13 +329,10 @@ def _cmd_verify(args) -> int:
                     if r.status != "pass":
                         extra = f"  [{r.detail}]" if r.detail else ""
                         print(f"{r.status.upper()} {r.name}{extra}")
-            counts = {
-                "pass": sum(1 for r in rs if r.status == "pass"),
-                "fail": sum(1 for r in rs if r.status == "fail"),
-                "flag": sum(1 for r in rs if r.status == "flag"),
-                "skip": sum(1 for r in rs if r.status == "skip"),
-            }
-            shown = ", ".join(f"{v} {k}" for k, v in counts.items() if v)
+            tally = counts[suite]
+            shown = ", ".join(
+                f"{tally[k]} {k}" for k in ("pass", "fail", "flag", "skip") if tally[k]
+            )
             print(f"suite {suite}: {len(rs)} checks ({shown})")
         if report.certificate_failures:
             for f in report.certificate_failures:

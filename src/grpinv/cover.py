@@ -1,8 +1,8 @@
 """Exact minimum set cover with deterministic certificates.
 
 `make_instance` keeps the first occurrence of each set that no other set
-strictly contains: the sets holding all of a set's points are the AND of
-per-point bitsets.
+strictly contains, by the inclusion-maximal filter `_maximal` that also
+finds the maximal subgroups.
 
 One kernel, `coverable(uncovered, r, allowed)`, finds a cover of the
 uncovered points by at most r candidates drawn from the bitset `allowed`,
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import BudgetExceeded, CheckFailed
-from .groups import INFINITE, ExtNat, Record, _bits, finite
+from .groups import INFINITE, ExtNat, Record, _bits, _maximal, finite
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -63,24 +63,7 @@ def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
                 raise ValueError("candidate point outside universe")
             m |= 1 << p
         masks.append(m)
-    # the first occurrence of each distinct nonempty set, and per point the
-    # bitset of those first occurrences (by their rank) that hold it
-    first: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        if m:
-            first.setdefault(m, i)
-    holders = [0] * universe_size
-    for rank, m in enumerate(first):
-        for p in _bits(m):
-            holders[p] |= 1 << rank
-    # a set is kept when it is the only distinct set holding all its points
-    kept: list[int] = []
-    for rank, (m, i) in enumerate(first.items()):
-        supersets = -1
-        for p in _bits(m):
-            supersets &= holders[p]
-        if supersets == 1 << rank:
-            kept.append(i)
+    kept = _maximal(masks)
     full = (1 << universe_size) - 1
     union = 0
     for j in kept:

@@ -180,6 +180,46 @@ def _bits(x: int):
         x ^= low
 
 
+def _maximal(masks, keep=None) -> list[int]:
+    """Ascending positions of the first occurrence of each nonzero mask that
+    no kept mask contains; with `keep`, a mask is kept only if keep(its
+    position) is true.
+
+    The inclusion-maximal filter behind the maximal subgroups, the maximal
+    cyclic subgroups, the candidates of IC(G;H) and a cover instance's sets.
+    Masks go from the largest popcount down, and each is checked against
+    the kept masks of larger popcount: distinct masks of one popcount never
+    contain each other.  `keep` is asked only of a mask that lies in no
+    kept mask, and a mask it rejects shadows nothing.
+    """
+    first: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        if m:
+            first.setdefault(m, i)
+    kept: list[int] = []
+    larger: list[int] = []  # the kept masks of popcount above `size`
+    same: list[int] = []  # the kept masks of popcount `size`
+    size = 0
+    # Ties go in reverse input order: for the lattice's canonical order that
+    # is descending masks, where a small subgroup meets a superset among the
+    # kept masks about 12 times sooner than in ascending order (C2^7).
+    for m in sorted(reversed(first), key=int.bit_count, reverse=True):
+        if m.bit_count() != size:
+            size = m.bit_count()
+            larger += same
+            same = []
+        for k in larger:
+            if m & k == m:
+                break
+        else:
+            i = first[m]
+            if keep is None or keep(i):
+                kept.append(i)
+                same.append(m)
+    kept.sort()
+    return kept
+
+
 def validate_spec(spec: GroupSpec) -> None:
     """Raise InvalidSpec if a parameter constraint is violated."""
     if isinstance(spec, Cyclic):
@@ -322,20 +362,6 @@ class FiniteGroup(
 
     def __hash__(self) -> int:
         return self.table_hash
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse[a], -k
-        acc = 0
-        for _ in range(k):
-            acc = self.table[acc][a]
-        return acc
 
     @property
     def is_cyclic(self) -> bool:
@@ -646,7 +672,3 @@ def build(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
         raise ValueError(f"{label}: realized order {g.order} != predicted {predicted}")
     return g
 
-
-def element_order(g: FiniteGroup, a: int) -> int:
-    """Least m >= 1 with a^m = identity (precomputed at construction)."""
-    return g.elem_order[a]

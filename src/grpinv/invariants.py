@@ -33,6 +33,7 @@ from .lattice import (
     as_group,
     closure,
     make_subgroup,
+    maximal_filter,
 )
 
 
@@ -126,11 +127,10 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
 
     Fast paths: G embeds in H -> 1; an element order of G missing from H ->
     infinite (and for finite G the converse holds, so the solver only runs
-    on feasible instances).  Candidates are the inclusion-maximal embeddable
-    subgroups, found by one descending lattice pass: anything inside an
-    embeddable subgroup embeds too, so it is skipped without a search.  A
-    subgroup lies inside one found so far when the bitsets of those holding
-    each of its elements have a nonzero AND.
+    on feasible instances).  Candidates are the inclusion-maximal proper
+    subgroups that embed, found by `maximal_filter` with an embedding search
+    as its `keep`: anything inside an embeddable subgroup embeds too, so the
+    filter skips it without a search.
     """
     w = embeds(g, h)
     if w is not None:
@@ -143,31 +143,18 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     if g.is_cyclic:  # cyclic + dominated spectrum would have embedded
         raise CheckFailed(f"cyclic {g.label} has the spectrum of {h.label} but did not embed")
     lat = all_subgroups(g)
-    admissible: list[tuple[Subgroup, tuple[int, ...]]] = []
-    # inside[x]: bitset of the admissible indices whose subgroup holds x
-    inside = [0] * g.order
-    for s in reversed(lat.all):
+    witnesses = {}  # mask -> embedding into H, for the admissible subgroups
+
+    def admissible(s: Subgroup) -> bool:
         if s.order == g.order or h.order % s.order:
-            continue
-        holders = -1
-        rest = s.mask
-        while rest:  # the bits of s.mask, inlined: this loop is the pass's hot spot
-            low = rest & -rest
-            rest ^= low
-            holders &= inside[low.bit_length() - 1]
-            if not holders:
-                break
-        if holders:
-            continue  # inside an admissible subgroup, so it embeds too
+            return False
         ws = embeds(as_group(g, s), h)
         if ws is not None:
-            bit = 1 << len(admissible)
-            for x in _bits(s.mask):
-                inside[x] |= bit
-            admissible.append((s, ws))
-    admissible.sort(key=lambda t: t[0].sort_key())
-    candidates = [s for s, _ in admissible]
-    entries = [CertEntry(s, ws) for s, ws in admissible]
+            witnesses[s.mask] = ws
+        return ws is not None
+
+    candidates = maximal_filter(lat.all, admissible)
+    entries = [CertEntry(s, witnesses[s.mask]) for s in candidates]
     return _solve(
         "ic", g, h, lat.maximal_cyclic_subgroups, candidates, entries, node_budget
     )

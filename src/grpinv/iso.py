@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import CheckFailed
 from .groups import CACHE_SIZE, FiniteGroup
-from .lattice import all_subgroups, as_group, closure
+from .lattice import all_subgroups, as_group, greedy_generators
 
 EmbeddingWitness = tuple[int, ...]
 
@@ -33,21 +33,6 @@ def missing_order(g: FiniteGroup, h: FiniteGroup) -> int | None:
     """Least element order of G absent from H, if any."""
     gaps = set(g.elem_order) - set(h.elem_order)
     return min(gaps) if gaps else None
-
-
-def greedy_generators(g: FiniteGroup) -> list[int]:
-    """Small generating set: repeatedly adjoin a highest-order element
-    outside the current closure (ties broken by index)."""
-    gens: list[int] = []
-    covered = closure(g, gens)
-    while covered.order < g.order:
-        best = min(
-            (a for a in range(g.order) if not covered.mask >> a & 1),
-            key=lambda a: (-g.elem_order[a], a),
-        )
-        gens.append(best)
-        covered = closure(g, gens)
-    return gens
 
 
 def _extend(g, h, phi, elems, used, new_elem, image):

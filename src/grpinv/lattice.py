@@ -1,5 +1,10 @@
 """Subgroup enumeration: cyclic atoms, join-closure lattice, maximal strata.
 
+The strata, the maximal proper and the maximal cyclic subgroups, come from
+`maximal_filter`, the subgroup-level entry to `groups._maximal`: the one
+inclusion-maximal filter, which also finds `ic`'s candidates and drops a
+cover instance's dominated sets.
+
 A subgroup is stored as one bitmask over the parent group's element indices,
 and `Subgroup.members` derives its elements from the mask, ascending, when a
 caller asks for them.  Without a second copy of each element set, the
@@ -24,9 +29,9 @@ The lattice is closed under conjugation, and conjugation commutes with
 joins: (S^x v <c>) = (S v <x c x^-1>)^x.  So only one subgroup per
 conjugacy class is joined with the atoms.  A join that finds a new
 subgroup J adds J's whole class, by a breadth-first search under
-conjugation by the non-central members of a generating set of G (none when
-G is abelian), and only J goes on to the next layer.  Conjugates cost |J|
-lookups each and no closure, and the final sort leaves the lattice, and
+conjugation by the non-central members of `greedy_generators(G)` (none
+when G is abelian), and only J goes on to the next layer.  Conjugates cost
+|J| lookups each and no closure, and the final sort leaves the lattice, and
 every certificate built on it, as it was without the classes.  Any set of
 conjugations would keep the lattice complete, since the known subgroups
 stay a union of orbits; a generating set makes the orbits whole classes,
@@ -41,7 +46,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded
 from .groups import CACHE_SIZE, INFINITE, ExtNat, FiniteGroup, Record, _bits, _finalize
-from .groups import _is_prime, finite
+from .groups import _is_prime, _maximal, finite
 
 MAX_SUBGROUPS = 200_000
 
@@ -137,24 +142,25 @@ def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
     return sorted(by_mask.values(), key=Subgroup.sort_key)
 
 
-def maximal_filter(subgroups, restrict_to_cyclic: bool = False) -> list[Subgroup]:
-    """Members maximal under inclusion (among the cyclic ones when flagged)."""
-    pool = [s for s in subgroups if s.is_cyclic] if restrict_to_cyclic else list(subgroups)
-    pool.sort(key=Subgroup.sort_key, reverse=True)
-    kept: list[Subgroup] = []
-    order = 0
-    for s in pool:
-        if s.order != order:
-            # the masks of the kept subgroups of order above that of s
-            order, larger = s.order, [k.mask for k in kept]
-        m = s.mask
-        for k in larger:
-            if m & k == m:
-                break
-        else:
-            kept.append(s)
-    kept.sort(key=Subgroup.sort_key)
-    return kept
+def maximal_filter(subgroups, keep=None) -> list[Subgroup]:
+    """The subgroups that lie in no kept one, in the order given; with
+    `keep`, a subgroup is kept only if keep(it) is true.  `keep` is asked
+    only of subgroups inside no kept one, and one it rejects shadows
+    nothing (see `_maximal`)."""
+    subgroups = list(subgroups)
+    test = None if keep is None else (lambda i: keep(subgroups[i]))
+    return [subgroups[i] for i in _maximal([s.mask for s in subgroups], test)]
+
+
+def greedy_generators(g: FiniteGroup) -> list[int]:
+    """Small generating set: repeatedly adjoin a highest-order element
+    outside the subgroup generated so far (ties broken by index), folding
+    `_join` over the picks."""
+    members, mask, gens = [0], 1, []
+    for a in sorted(range(g.order), key=g.elem_order.__getitem__, reverse=True):
+        if not mask >> a & 1:
+            members, mask, gens = _join(g.table, members, mask, gens, a)
+    return gens
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -192,10 +198,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     }
     # conjugation by the non-central members of a generating set of G; the
     # classes are the orbits under it, and it is empty when G is abelian
-    members, mask, ggens = [0], 1, []
-    for _, c in reversed(atoms):
-        if mask != full_mask:
-            members, mask, ggens = _join(table, members, mask, ggens, c)
+    ggens = greedy_generators(g)
     conjugations = [
         [table[table[g.inverse[t]][x]][t] for x in range(n)]
         for t in ggens
@@ -259,11 +262,10 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
                     )
         frontier = fresh
     ordered = sorted(known.values(), key=Subgroup.sort_key)
-    proper = [s for s in ordered if s.is_proper]
     return SubgroupLattice(
         tuple(ordered),
-        tuple(maximal_filter(proper)),
-        tuple(maximal_filter(ordered, restrict_to_cyclic=True)),
+        tuple(maximal_filter([s for s in ordered if s.is_proper])),
+        tuple(maximal_filter([s for s in ordered if s.is_cyclic])),
     )
 
 

@@ -1,6 +1,7 @@
 """Group construction: families, products, permutation closure, validation."""
 
 import math
+import random
 import re
 
 import pytest
@@ -17,10 +18,10 @@ from grpinv.groups import (
     Product,
     SemidirectPQ,
     _finalize,
+    _maximal,
     _validate_table,
     build,
     build_semidirect_pq,
-    element_order,
     finite,
     from_permutation_generators,
     spec_text,
@@ -32,7 +33,7 @@ def naive_order(g, a):
     x = a
     m = 1
     while x != g.identity:
-        x = g.mul(x, a)
+        x = g.table[x][a]
         m += 1
     return m
 
@@ -62,9 +63,12 @@ def test_dihedral_presentation_relations():
     n = 7
     g = build(Dihedral(n))
     r, a = 1, n
-    assert g.power(r, n) == 0
-    assert g.mul(a, a) == 0
-    assert g.mul(g.mul(a, r), a) == g.inv(r)
+    x = 0
+    for _ in range(n):
+        x = g.table[x][r]
+    assert x == 0
+    assert g.table[a][a] == 0
+    assert g.table[g.table[a][r]][a] == g.inverse[r]
 
 
 def test_semidirect_examples():
@@ -148,11 +152,11 @@ def test_perm_group_spec_build():
 
 def test_element_order_examples():
     c12 = build(Cyclic(12))
-    assert element_order(c12, 0) == 1
-    assert element_order(c12, 1) == 12
-    assert element_order(c12, 2) == 6
+    assert c12.elem_order[0] == 1
+    assert c12.elem_order[1] == 12
+    assert c12.elem_order[2] == 6
     for a in range(12):
-        assert element_order(c12, a) == naive_order(c12, a)
+        assert c12.elem_order[a] == naive_order(c12, a)
 
 
 @pytest.mark.parametrize("n", [6, 12, 30])
@@ -286,7 +290,7 @@ def test_product_indexing_matches_components():
                 for v in range(6):
                     left = x * 6 + y
                     right = u * 6 + v
-                    assert g.mul(left, right) == a.mul(x, u) * 6 + b.mul(y, v)
+                    assert g.table[left][right] == a.table[x][u] * 6 + b.table[y][v]
 
 
 def test_power_spec_equals_iterated_product():
@@ -309,3 +313,48 @@ def test_extnat_ordering_and_arithmetic():
     assert str(finite(3)) == "3" and str(INFINITE) == "infinite"
     with pytest.raises(ValueError):
         ExtNat(0)
+
+
+def reference_maximal(masks, keep):
+    """The inclusion-maximal members, by pairwise comparison, of the first
+    occurrences of the nonzero masks that `keep` accepts."""
+    first = {}
+    for i, m in enumerate(masks):
+        if m:
+            first.setdefault(m, i)
+    pool = [i for i in first.values() if keep(i)]
+    return sorted(
+        i for i in pool if not any(masks[i] & masks[j] == masks[i] != masks[j] for j in pool)
+    )
+
+
+def test_maximal_matches_the_pairwise_reference():
+    rng = random.Random(14)
+    for _ in range(2000):
+        width = rng.randint(1, 7)
+        masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 14))]
+        if masks:  # with duplicates and zeros
+            masks += rng.choices(masks, k=rng.randint(0, 4)) + [0] * rng.randint(0, 2)
+            rng.shuffle(masks)
+        rejected = {i for i in range(len(masks)) if rng.random() < 0.3}
+        asked = []
+
+        def keep(i):
+            asked.append(i)
+            return i not in rejected
+
+        kept = _maximal(masks, keep)
+        assert kept == reference_maximal(masks, lambda i: i not in rejected), masks
+        assert _maximal(masks) == reference_maximal(masks, lambda i: True), masks
+        # asked once each, and never of a mask inside a kept one
+        assert len(asked) == len(set(asked))
+        for i in asked:
+            assert not any(masks[i] & masks[k] == masks[i] for k in kept if k != i), masks
+
+
+def test_a_rejected_mask_shadows_nothing():
+    masks = [0b111, 0b011, 0b001, 0b011, 0]
+    assert _maximal(masks) == [0]
+    assert _maximal(masks, lambda i: i != 0) == [1]
+    assert _maximal(masks, lambda i: i not in (0, 1)) == [2]
+    assert _maximal(masks, lambda i: False) == []

@@ -17,6 +17,7 @@ from grpinv.groups import (
     PermGroup,
     Product,
     SemidirectPQ,
+    _bits,
     build,
     finite,
 )
@@ -320,6 +321,48 @@ def test_point_sets_match_the_containment_test(monkeypatch):
     for gspec, hspec in POINT_SET_IC_PAIRS:
         ic(build(parse_spec(gspec)), build(parse_spec(hspec)))
     assert calls == 2 * len(POINT_SET_GROUPS) + len(POINT_SET_IC_PAIRS)
+
+
+def reference_admissible(g, h):
+    """`ic`'s candidates and witnesses by a descending pass with a bitset
+    per element of the admissible subgroups found so far that hold it: a
+    subgroup whose elements' bitsets have a nonzero AND lies inside one of
+    them and is skipped without a search."""
+    admissible = []
+    inside = [0] * g.order
+    for s in reversed(all_subgroups(g).all):
+        if s.order == g.order or h.order % s.order:
+            continue
+        holders = -1
+        for x in _bits(s.mask):
+            holders &= inside[x]
+        if holders:
+            continue
+        ws = embeds(as_group(g, s), h)
+        if ws is not None:
+            for x in _bits(s.mask):
+                inside[x] |= 1 << len(admissible)
+            admissible.append((s, ws))
+    admissible.sort(key=lambda t: t[0].sort_key())
+    return admissible
+
+
+def test_ic_candidates_match_the_reference_pass(monkeypatch):
+    """The subgroups and witnesses `ic` hands to the cover, against the
+    per-element bitset pass."""
+    found = []
+    real = invariants._solve
+
+    def capture(kind, g, target, universe, candidates, entries, node_budget):
+        assert candidates == [e.subgroup for e in entries]
+        found.append([(e.subgroup, e.embedding) for e in entries])
+        return real(kind, g, target, universe, candidates, entries, node_budget)
+
+    monkeypatch.setattr(invariants, "_solve", capture)
+    for gspec, hspec in POINT_SET_IC_PAIRS:
+        g, h = build(parse_spec(gspec)), build(parse_spec(hspec))
+        ic(g, h)
+        assert len(found) == 1 and found.pop() == reference_admissible(g, h), gspec
 
 
 def test_optimality_validator_rejects_containment():

@@ -18,11 +18,10 @@ from grpinv.iso import (
     are_isomorphic,
     embeds,
     is_embedding,
-    greedy_generators,
     order_spectrum,
     spectrum_dominates,
 )
-from grpinv.lattice import closure, cyclic_subgroups
+from grpinv.lattice import closure, cyclic_subgroups, greedy_generators
 
 
 def exhaustive_isomorphism_exists(g, h):

@@ -196,7 +196,7 @@ def reference_all_subgroups(g):
     return SubgroupLattice(
         tuple(ordered),
         tuple(maximal_filter(proper)),
-        tuple(maximal_filter(ordered, restrict_to_cyclic=True)),
+        tuple(maximal_filter([s for s in ordered if s.is_cyclic])),
     )
 
 
@@ -292,7 +292,7 @@ def test_maximal_filter_examples():
     proper = [s for s in all_subgroups(c2c2).all if s.is_proper]
     assert [s.order for s in maximal_filter(proper)] == [2, 2, 2]
     q8 = build(GeneralizedQuaternion(8))
-    top = maximal_filter(cyclic_subgroups(q8), restrict_to_cyclic=True)
+    top = maximal_filter(cyclic_subgroups(q8))
     assert [s.order for s in top] == [4, 4, 4]
 
 
