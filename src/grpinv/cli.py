@@ -372,8 +372,6 @@ def _add_common(p, n_specs: int):
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.add_argument("--certificate", action="store_true", help="include the certificate")
     p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
-                   help="solver node budget")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,6 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in ("ic", "sigma", "sigmac"):
         p = sub.add_parser(cmd)
         _add_common(p, 2 if cmd == "ic" else 1)
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
+                       help="solver node budget")
     p = sub.add_parser("lattice")
     p.add_argument("spec")
     p.add_argument("--maximal", action="store_true")

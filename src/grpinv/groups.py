@@ -337,12 +337,8 @@ def spec_text(spec: GroupSpec) -> str:
 # FiniteGroup
 # ---------------------------------------------------------------------------
 
-class FiniteGroup(
-    namedtuple(
-        "FiniteGroup", "label order table inverse elem_order table_hash identity", defaults=(0,)
-    )
-):
-    """Immutable Cayley-table group; safe to share across threads.
+class FiniteGroup(namedtuple("FiniteGroup", "label order table inverse elem_order table_hash")):
+    """Immutable Cayley-table group with identity 0.
 
     Groups are equal when their tables are.  The label names one view of a
     table and takes no part in equality, so caches keyed on groups hit
@@ -554,15 +550,6 @@ def _product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return _finalize(f"{g.label} x {h.label}", table)
 
 
-def _identity_perm(d: int) -> tuple[int, ...]:
-    return tuple(range(d))
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p o q)(x) = p(q(x))
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
 def cycles_to_perm(cycles: tuple[tuple[int, ...], ...], degree: int) -> tuple[int, ...]:
     """1-based disjoint cycles -> 0-based image tuple."""
     images = list(range(degree))
@@ -601,21 +588,24 @@ def from_permutation_generators(
     Each generator is an image tuple on 0..d-1.  Element 0 is the identity;
     indexing follows BFS discovery order under the given generator ordering,
     which makes the construction deterministic.
+
+    With right[j][x] the index of x*g_j (a*b is x -> a(b(x))) and e_k = e_p*g_j
+    for the element p that k was found from, column k of the table is column
+    p looked up in right[j], since a*e_k = (a*e_p)*g_j.
     """
     if degree is None:
         degree = len(gens[0]) if gens else 1
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidSpec(f"{g!r} is not a permutation of 0..{degree - 1}")
-    ident = _identity_perm(degree)
+    ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
-    head = 0
-    while head < len(elems):
-        cur = elems[head]
-        head += 1
-        for g in gens:
-            nxt = _compose(cur, g)
+    right: list[list[int]] = [[] for _ in gens]
+    parent = [(0, 0)]
+    for head, cur in enumerate(elems):  # grows while it is walked: the BFS queue
+        for j, g in enumerate(gens):
+            nxt = tuple(map(cur.__getitem__, g))
             if nxt not in index:
                 if len(elems) >= max_order:
                     raise OrderLimitExceeded(
@@ -623,8 +613,12 @@ def from_permutation_generators(
                     )
                 index[nxt] = len(elems)
                 elems.append(nxt)
-    n = len(elems)
-    table = [[index[_compose(a, b)] for b in elems] for a in elems]
+                parent.append((head, j))
+            right[j].append(index[nxt])
+    columns = [range(len(elems))]
+    for p, j in parent[1:]:
+        columns.append(list(map(right[j].__getitem__, columns[p])))
+    table = list(zip(*columns))
     if label is None:
         shown = ";".join(
             "".join(f"({' '.join(map(str, c))})" for c in perm_cycles(g)) or "()"

@@ -1,10 +1,10 @@
-"""Order spectra, isomorphism search, and subgroup-embedding tests.
+"""Order spectra, and one search for injective homomorphisms.
 
-are_isomorphic rejects on two cheap invariants, the order and the order
-spectrum, then backtracks over images of a greedy generating set, extending
-the partial map through subgroup closure so violations surface long before a
-full assignment.  embeds reuses the subgroup lattice of the target: K embeds
-in H iff some subgroup of H of order |K| is isomorphic to K.
+`are_isomorphic` and `embeds` are two entries to one search for an
+injective homomorphism K -> H.  It rejects when some element order is
+rarer in H than in K, then backtracks over images of a greedy generating
+set of K, taken in H's index order, extending the partial map through
+subgroup closure so violations surface long before a full assignment.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import CheckFailed
 from .groups import CACHE_SIZE, FiniteGroup
-from .lattice import all_subgroups, as_group, greedy_generators
+from .lattice import closure, greedy_generators
 
 EmbeddingWitness = tuple[int, ...]
 
@@ -74,44 +74,67 @@ def _extend(g, h, phi, elems, used, new_elem, image):
     return phi, elems, used
 
 
-def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
-    """A witness bijective homomorphism G -> H, or None.
+def _splits(k: FiniteGroup, head, tail) -> bool:
+    """True iff K is the internal direct product <head> x <tail>."""
+    s, c, t = closure(k, head), closure(k, tail), k.table
+    return s.order * c.order == k.order and s.mask & c.mask == 1 and all(
+        t[a][b] == t[b][a] for a in head for b in tail
+    )
 
-    Two cheap invariants, the order and the order spectrum, reject most
-    non-isomorphic pairs before the backtracking search.  The multiset of
-    cyclic subgroup orders would add nothing: a group has N_d/phi(d) cyclic
-    subgroups of order d, for N_d its elements of order d, so equal spectra
-    give equal multisets.
+
+def _embedding(k: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
+    """The first injective homomorphism K -> H in H's index order, or None.
+
+    It needs N_d(K) <= N_d(H) for N_d the number of elements of order d, so
+    equal spectra at |K| = |H|; the multiset of cyclic subgroup orders adds
+    nothing, as a group has N_d/phi(d) cyclic subgroups of order d.  The
+    search maps a greedy generating set g_0, g_1, ... of K in turn and
+    prunes only branches that hold no solution, so it finds the witness
+    that the unpruned search would.
     """
-    if g.order != h.order:
+    have = Counter(h.elem_order)
+    if any(n > have[d] for d, n in Counter(k.elem_order).items()):
         return None
-    if order_spectrum(g) != order_spectrum(h):
-        return None
-    gens = greedy_generators(g)
-    if not gens:
-        return (0,)
-    candidates: dict[int, list[int]] = {}
-    for o in {g.elem_order[x] for x in gens}:
-        candidates[o] = [b for b in range(h.order) if h.elem_order[b] == o]
-    start = ([-1] * g.order, [0], {0})
-    start[0][0] = 0
+    gens = greedy_generators(k)
+    candidates = {o: [b for b, e in enumerate(h.elem_order) if e == o] for o in have}
+    # failed[i]: images T of maps on S = <g_0..g_i> that extend to no
+    # solution, kept where K = S x <g_i+1..>: every automorphism a of S then
+    # extends to K as a x id, so all maps onto T extend alike
+    failed: dict[int, set | None] = {}
 
     def dfs(level, phi, elems, used):
         if level == len(gens):
             return tuple(phi)
         a = gens[level]
-        for b in candidates[g.elem_order[a]]:
-            ext = _extend(g, h, phi, elems, used, a, b)
-            if ext is not None:
+        for b in candidates[k.elem_order[a]]:
+            ext = _extend(k, h, phi, elems, used, a, b)
+            if ext is None or failed.get(level) and frozenset(ext[2]) in failed[level]:
+                continue
+            # dead if a generator after the next (tried at once) has no image left
+            if all(
+                any(_extend(k, h, *ext, c, x) for x in candidates[k.elem_order[c]])
+                for c in gens[level + 2:]
+            ):
                 found = dfs(level + 1, *ext)
                 if found is not None:
                     return found
+            if level not in failed:
+                failed[level] = set() if _splits(k, gens[:level + 1], gens[level + 1:]) else None
+            if failed[level] is not None:
+                failed[level].add(frozenset(ext[2]))
         return None
 
-    witness = dfs(0, *start)
-    if witness is not None and not is_embedding(g, h, witness):
-        raise CheckFailed(f"isomorphism {g.label} -> {h.label} failed re-validation")
+    witness = dfs(0, [0] + [-1] * (k.order - 1), [0], {0})
+    if witness is not None and not is_embedding(k, h, witness):
+        raise CheckFailed(f"embedding {k.label} -> {h.label} failed re-validation")
     return witness
+
+
+def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
+    """A witness bijective homomorphism G -> H, or None."""
+    if g.order != h.order:
+        return None
+    return _embedding(g, h)
 
 
 def is_embedding(k: FiniteGroup, h: FiniteGroup, phi: EmbeddingWitness) -> bool:
@@ -133,29 +156,11 @@ def is_embedding(k: FiniteGroup, h: FiniteGroup, phi: EmbeddingWitness) -> bool:
 def embeds(k: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
     """Witness injective homomorphism K -> H, or None.
 
-    Enumerates H's subgroups of order |K| (the lattice is shared with the
-    cover computations) and composes a found isomorphism with the inclusion.
-    Cached per pair of tables: the invariant fast paths, the descending
-    pass of `ic` and the sweep checkers ask the same question repeatedly,
-    often of relabelled copies of one group.
+    The witness is the first the search meets, with the images of K's
+    generators taken in H's index order.  Cached per pair of tables: `ic`
+    and the sweep checkers ask the same question repeatedly, often of
+    relabelled copies of one group.
     """
-    if k.order > h.order or h.order % k.order:
+    if h.order % k.order:
         return None
-    if not spectrum_dominates(k, h):
-        return None
-    if k.order == 1:
-        return (0,)
-    if k.order == h.order:
-        return are_isomorphic(k, h)
-    lat = all_subgroups(h)
-    for s in lat.all:
-        if s.order != k.order:
-            continue
-        w = are_isomorphic(k, as_group(h, s))
-        if w is not None:
-            elems = s.members
-            witness = tuple(elems[w[i]] for i in range(k.order))
-            if not is_embedding(k, h, witness):
-                raise CheckFailed(f"embedding {k.label} -> {h.label} failed re-validation")
-            return witness
-    return None
+    return _embedding(k, h)

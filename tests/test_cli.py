@@ -326,6 +326,13 @@ def test_cmd_embeds(capsys):
     assert doc["embeds"] is True
 
 
+def test_embeds_takes_no_budget(capsys):
+    # the embedding search runs no cover search, so a node budget means nothing
+    code, out, err = run(capsys, "embeds", "C2", "C4", "--budget", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def naive_order(g, a):
     """Independent power iteration, not using elem_order."""
     x = a
     m = 1
-    while x != g.identity:
+    while x != 0:
         x = g.table[x][a]
         m += 1
     return m

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import grpinv.iso
 from grpinv.corpus import corpus
 from grpinv.groups import (
     Cyclic,
@@ -21,7 +22,7 @@ from grpinv.iso import (
     order_spectrum,
     spectrum_dominates,
 )
-from grpinv.lattice import closure, cyclic_subgroups, greedy_generators
+from grpinv.lattice import all_subgroups, as_group, closure, cyclic_subgroups, greedy_generators
 
 
 def exhaustive_isomorphism_exists(g, h):
@@ -148,6 +149,102 @@ def test_embeds_examples():
     assert q8.elem_order[w[1]] == 2  # the unique involution
     assert embeds(build(Product((Cyclic(2),) * 2)), q8) is None
     assert embeds(build(Cyclic(1)), q8) == (0,)
+
+
+def reference_embeds(k, h):
+    """The lattice route `embeds` once took: K embeds in H iff some subgroup
+    of H of order |K| is isomorphic to K."""
+    return any(
+        s.order == k.order and are_isomorphic(k, as_group(h, s)) is not None
+        for s in all_subgroups(h).all
+    )
+
+
+def reference_first_embedding(k, h):
+    """The search without pruning: images of K's greedy generators in H's
+    index order, closed by `_extend`; the first full map found."""
+    gens = greedy_generators(k)
+
+    def dfs(level, phi, elems, used):
+        if level == len(gens):
+            return tuple(phi)
+        for b in range(h.order):
+            ext = grpinv.iso._extend(k, h, phi, elems, used, gens[level], b)
+            if ext is not None:
+                found = dfs(level + 1, *ext)
+                if found is not None:
+                    return found
+        return None
+
+    return dfs(0, [0] + [-1] * (k.order - 1), [0], {0})
+
+
+def test_embeds_matches_the_subgroup_lattice_reference():
+    groups = [e.group for e in corpus(16)]
+    for k, h in itertools.product(groups, repeat=2):
+        w = embeds(k, h)
+        assert (w is not None) == reference_embeds(k, h), (k.label, h.label)
+        assert w is None or is_embedding(k, h, w), (k.label, h.label)
+        if h.order % k.order == 0:
+            assert w == reference_first_embedding(k, h), (k.label, h.label)
+
+
+@pytest.mark.parametrize(
+    "k,h",
+    [
+        # rank: D4 x D4 has no C2^5, though 35 involutions against 31
+        (Product((Cyclic(2),) * 5), Product((Dihedral(4), Dihedral(4)))),
+        # relations: an abelian group has no D4
+        (
+            Product((Cyclic(2), Cyclic(2), Dihedral(4))),
+            Product((Cyclic(4), Cyclic(4), Cyclic(2), Cyclic(2), Cyclic(2))),
+        ),
+    ],
+)
+def test_embeds_refutes_without_the_lattice(k, h):
+    k, h = build(k), build(h)
+    assert embeds(k, h) is None
+    assert not reference_embeds(k, h)
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_embeds_builds_no_subgroup_lattice():
+    c2_3 = build(Product((Cyclic(2),) * 3))
+    c2_7 = build(Product((Cyclic(2),) * 7))
+    assert embeds(c2_3, c2_7) is not None
+    assert all_subgroups.cache_info().misses == 0
+
+
+def test_embeds_rejects_on_element_order_counts(monkeypatch):
+    # C2^2 has three involutions, C4 and C8 one each; the orders {1, 2} of
+    # C2^2 occur in both and 4 divides their orders, so only the counts can
+    # reject it
+    def no_search(*_args):
+        pytest.fail("the search ran")
+
+    monkeypatch.setattr(grpinv.iso, "_extend", no_search)
+    monkeypatch.setattr(grpinv.iso, "greedy_generators", no_search)
+    k = build(Product((Cyclic(2),) * 2))
+    for h in (build(Cyclic(4)), build(Cyclic(8))):
+        assert spectrum_dominates(k, h)
+        assert embeds.__wrapped__(k, h) is None
+    assert are_isomorphic(k, build(Cyclic(4))) is None
+
+
+def test_embeds_witness_is_the_first_in_target_index_order():
+    c12 = build(Cyclic(12))
+    c4_c6 = build(Product((Cyclic(4), Cyclic(6))))
+    assert embeds(c12, c4_c6) == (0, 7, 14, 21, 4, 11, 12, 19, 2, 9, 16, 23)
+
+
+def test_splits_recognises_internal_direct_products():
+    c6, d4 = build(Cyclic(6)), build(Dihedral(4))
+    assert grpinv.iso._splits(c6, [2], [3])  # C6 = C3 x C2
+    assert not grpinv.iso._splits(c6, [2], [1])  # <2> lies in <1>
+    r = next(x for x in range(8) if d4.elem_order[x] == 4)
+    s = next(x for x in range(8) if not closure(d4, [r]).mask >> x & 1)
+    assert not grpinv.iso._splits(d4, [r], [s])  # orders multiply, but s r != r s
+    assert grpinv.iso._splits(d4, [], [r, s])
 
 
 def test_embeds_necessary_conditions():
