@@ -25,17 +25,20 @@ large.  When [S v <c> : S] is prime, no subgroup lies strictly between S
 and J = S v <c>, so every atom inside J joins S to J again; the lattice
 skips those joins.
 
-The lattice is closed under conjugation, and conjugation commutes with
-joins: (S^x v <c>) = (S v <x c x^-1>)^x.  So only one subgroup per
-conjugacy class is joined with the atoms.  A join that finds a new
-subgroup J adds J's whole class, by a breadth-first search under
-conjugation by the non-central members of `greedy_generators(G)` (none
-when G is abelian), and only J goes on to the next layer.  Conjugates cost
-|J| lookups each and no closure, and the final sort leaves the lattice, and
-every certificate built on it, as it was without the classes.  Any set of
-conjugations would keep the lattice complete, since the known subgroups
-stay a union of orbits; a generating set makes the orbits whole classes,
-which is what saves the joins.
+The lattice is closed under every automorphism a of G, and automorphisms
+commute with joins: a(S) v <c> = a(S v <a^-1(c)>).  So only one subgroup
+per orbit is joined with the atoms, for the orbits under the group that
+`automorphisms(G)` generates: conjugation by the greedy generators, and
+whichever of a cyclic shift, a swap and two transvections of them extend
+to automorphisms.  A join that finds a new subgroup J adds J's whole orbit,
+and only J goes on to the next layer.  Images cost |J| lookups each and no
+closure, and the final sort leaves the lattice, and every certificate built
+on it, as it was without the orbits.  Any set of automorphisms keeps the
+lattice complete, since the known subgroups stay a union of orbits; the
+choice only sets how many joins are saved.  On C2^n the maps generate
+GL(n, 2), which leaves one orbit per order: C2^7's 29,212 subgroups come
+from 8 representatives.  Each map costs one image per orbit member, so a
+map that merges no orbits is pure cost.
 """
 
 from __future__ import annotations
@@ -163,22 +166,78 @@ def greedy_generators(g: FiniteGroup) -> list[int]:
     return gens
 
 
+def _hom_from_images(table, gens, images) -> list[int] | None:
+    """The automorphism of G sending gens[i] to images[i], as the list of
+    images of 0..|G|-1, or None if there is none.
+
+    phi is built by a breadth-first search over the Cayley graph on `gens`,
+    from phi(0) = 0 and phi(x*s) = phi(x)*phi(s).  It is kept only if that
+    rule holds on every edge x -> x*s and phi is injective: then, by
+    induction on word length, phi(x*y) = phi(x)*phi(y) for all x and y.
+    """
+    phi = [-1] * len(table)
+    phi[0] = 0
+    queue = [0]
+    for x in queue:
+        row, image_row = table[x], table[phi[x]]
+        for s, t in zip(gens, images):
+            y, fy = row[s], image_row[t]
+            if phi[y] < 0:
+                phi[y] = fy
+                queue.append(y)
+            elif phi[y] != fy:
+                return None
+    return phi if len(set(phi)) == len(phi) else None
+
+
+def automorphisms(g: FiniteGroup) -> list[list[int]]:
+    """A few non-identity automorphisms of G, each as the list of images of
+    0..|G|-1: those among a handful of candidate maps on the greedy
+    generators g_0, g_1, ... that `_hom_from_images` confirms.
+
+    The candidates are conjugation by each generator (the identity when it
+    is central), a cyclic shift of the generators, a swap of g_0 and g_1,
+    and the transvections g_0 -> g_0*g_1 and g_1 -> g_1*g_0.  On C_2^n these
+    generate GL(n, 2).  Candidates that are not automorphisms, and the
+    identity, are dropped.
+    """
+    table, inverse = g.table, g.inverse
+    gens = greedy_generators(g)
+    candidates = [[table[table[inverse[t]][s]][t] for s in gens] for t in gens]
+    if len(gens) > 1:
+        g0, g1, *rest = gens
+        candidates += [
+            [*gens[1:], g0],
+            [g1, g0, *rest],
+            [table[g0][g1], g1, *rest],
+            [g0, table[g1][g0], *rest],
+        ]
+    maps = {}
+    for images in candidates:
+        if images != gens:
+            phi = _hom_from_images(table, gens, images)
+            if phi is not None:
+                maps.setdefault(tuple(phi), phi)
+    return list(maps.values())
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     """Complete subgroup lattice by layered join-closure from cyclic atoms,
-    expanding one subgroup per conjugacy class.
+    expanding one subgroup per orbit of `automorphisms(g)`.
 
     Every subgroup is a join of cyclic subgroups, so saturating joins of
     known subgroups with cyclic atoms reaches all of them without the 2^|G|
-    subset scan.  Only class representatives are joined: a new join J brings
-    its whole conjugacy class into the lattice, and only J is expanded.
-    Nothing is missed, because (S^x v <c>) = (S v <x c x^-1>)^x and every
-    atom is tried on S.  Each representative keeps the generating list it
-    was first reached by, at most log2|G| long, and `_join` closes S v <c>
-    as a union of right cosets of S, returning G as soon as the union is
-    too large for a proper subgroup.  Atoms inside a join of prime index
-    over S are skipped for S: they would return that join again.  Cached by
-    table, so relabelled copies of a group share one lattice.
+    subset scan.  Only orbit representatives are joined: a new join J
+    brings its whole orbit into the lattice, and only J is expanded.
+    Nothing is missed, because a(S) v <c> = a(S v <a^-1(c)>) for every
+    automorphism a and every atom is tried on S.  Each representative keeps
+    the generating list it was first reached by, at most log2|G| long, and
+    `_join` closes S v <c> as a union of right cosets of S, returning G as
+    soon as the union is too large for a proper subgroup.  Atoms inside a
+    join of prime index over S are skipped for S: they would return that
+    join again.  Cached by table, so relabelled copies of a group share one
+    lattice.
     """
     table = g.table
     n = g.order
@@ -196,24 +255,25 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
         for d in range(1, n)
         if n % d == 0
     }
-    # conjugation by the non-central members of a generating set of G; the
-    # classes are the orbits under it, and it is empty when G is abelian
-    ggens = greedy_generators(g)
-    conjugations = [
-        [table[table[g.inverse[t]][x]][t] for x in range(n)]
-        for t in ggens
-        if any(table[t][u] != table[u][t] for u in ggens)
-    ]
+    # each automorphism, with the bit of each element's image
+    autos = [(phi, [1 << x for x in phi]) for phi in automorphisms(g)]
 
-    def conjugacy_class(mask):
-        masks = [mask]
-        for m in masks:
-            for perm in conjugations:
-                x = 0
-                for a in _bits(m):
-                    x |= 1 << perm[a]
+    def orbit(mask, room=math.inf):
+        """The masks of the images of a subgroup under the group that
+        `autos` generates, found by a depth-first search that carries
+        each member's elements along.  One orbit can hold millions of
+        subgroups (C2^9), so it fails as soon as it outgrows `room`."""
+        masks = {mask}
+        stack = [list(_bits(mask))]
+        while stack:
+            if len(masks) > room:
+                raise BudgetExceeded(f"{g.label}: subgroup count exceeds {MAX_SUBGROUPS}")
+            elems = stack.pop()
+            for phi, bit in autos:
+                x = sum(map(bit.__getitem__, elems))
                 if x not in masks:
-                    masks.append(x)
+                    masks.add(x)
+                    stack.append([phi[a] for a in elems])
         return masks
 
     known: dict[int, Subgroup] = {c.mask: c for c in cyclics}
@@ -222,7 +282,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     for c in cyclics:
         if c.mask not in seen:
             frontier.append(c)
-            seen.update(conjugacy_class(c.mask))
+            seen.update(orbit(c.mask))
     # The generating lists and member lists live here, by mask, and not on
     # `Subgroup`: a generating list depends on the route by which a subgroup
     # was found, so equal subgroups from `closure`, `make_subgroup` and the
@@ -249,17 +309,13 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
                 if mask in known:
                     continue
                 # every cyclic subgroup is known from the start, and the
-                # known subgroups are whole classes, so the class of a new
+                # known subgroups are whole orbits, so the orbit of a new
                 # join is new and not cyclic
-                for x in conjugacy_class(mask):
+                for x in orbit(mask, MAX_SUBGROUPS - len(known)):
                     known[x] = Subgroup(x, len(members), n, False)
                 gens[mask] = jgens
                 elems[mask] = members
                 fresh.append(known[mask])
-                if len(known) > MAX_SUBGROUPS:
-                    raise BudgetExceeded(
-                        f"{g.label}: subgroup count exceeds {MAX_SUBGROUPS}"
-                    )
         frontier = fresh
     ordered = sorted(known.values(), key=Subgroup.sort_key)
     return SubgroupLattice(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpinv import lattice
+from grpinv import iso, lattice
 from grpinv.errors import BudgetExceeded
 from grpinv.groups import (
     INFINITE,
@@ -20,22 +20,28 @@ from grpinv.groups import (
     PermGroup,
     Product,
     SemidirectPQ,
+    _bits,
+    _finalize,
     build,
     finite,
 )
 from grpinv.lattice import (
     Subgroup,
     SubgroupLattice,
+    _hom_from_images,
     _join,
     all_proper_subgroups_cyclic,
     all_subgroups,
     as_group,
+    automorphisms,
     closure,
     cyclic_subgroups,
+    greedy_generators,
     make_subgroup,
     maximal_filter,
     totient_cover_bound,
 )
+from test_store import _relabelled
 
 S4 = PermGroup((((1, 2, 3, 4),), ((1, 2),)), 4)
 A5 = PermGroup((((1, 2, 3),), ((3, 4, 5),)), 5)
@@ -166,7 +172,7 @@ def test_elementary_abelian_subgroup_counts(p, n, count):
 
 
 def reference_all_subgroups(g):
-    """The join loop without the prime-index skip, the conjugacy classes or
+    """The join loop without the prime-index skip, the automorphism orbits or
     the early exit of `_join`: every subgroup is joined with every cyclic
     atom it does not contain, and each join is closed in full."""
     cyclics = cyclic_subgroups(g)
@@ -218,15 +224,131 @@ def reference_all_subgroups(g):
         Product((Dihedral(3), Dihedral(3))),
         Product((S4, Cyclic(2))),
         Product((Product((Cyclic(2),) * 4), Cyclic(4))),
+        # abelian groups, and groups with outer automorphisms
+        Product((Cyclic(3),) * 4),
+        Product((Cyclic(4),) * 3),
+        Product((Cyclic(5),) * 3),
+        Product((Product((Cyclic(2),) * 2), Product((Cyclic(4),) * 2))),
+        Product((Product((Cyclic(3),) * 3), Cyclic(2))),
+        Product((Dihedral(4), Dihedral(4))),
+        Product((GeneralizedQuaternion(8), GeneralizedQuaternion(8))),
+        Product((Cyclic(2),) * 6),
     ],
     ids=[
         "S4", "D12", "Q8xC2^2", "C2^5", "C3^3", "C2^2xC4", "A5", "S5", "D24", "D48",
         "SD(7,3)xC3", "D5xC2^2", "D3xD3", "S4xC2", "C2^4xC4",
+        "C3^4", "C4^3", "C5^3", "C2^2xC4^2", "C3^3xC2", "D4xD4", "Q8xQ8", "C2^6",
     ],
 )
 def test_prime_index_skip_matches_unskipped_joins(spec):
     g = build(spec)
     assert all_subgroups(g) == reference_all_subgroups(g)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        S4,
+        A5,
+        Dihedral(12),
+        Product((Cyclic(2),) * 5),
+        Product((Cyclic(4),) * 3),
+        Product((Product((Cyclic(3),) * 3), Cyclic(2))),
+        Product((Product((Cyclic(2),) * 4), Cyclic(4))),
+        Product((Dihedral(4), Dihedral(4))),
+        Product((GeneralizedQuaternion(8), GeneralizedQuaternion(8))),
+    ],
+    ids=["S4", "A5", "D12", "C2^5", "C4^3", "C3^3xC2", "C2^4xC4", "D4xD4", "Q8xQ8"],
+)
+def test_automorphisms_pass_the_embedding_check(spec):
+    g = build(spec)
+    maps = automorphisms(g)
+    assert maps
+    assert len({tuple(phi) for phi in maps}) == len(maps)
+    for phi in maps:
+        assert phi != list(range(g.order))
+        assert iso.is_embedding(g, g, tuple(phi))
+
+
+def test_candidate_maps_that_are_not_homomorphisms_are_dropped():
+    # D4 x D4's greedy generators all have order 4, but no shift, swap or
+    # transvection of them extends to a homomorphism: only conjugations stay
+    g = build(Product((Dihedral(4), Dihedral(4))))
+    t, inverse = g.table, g.inverse
+    gens = greedy_generators(g)
+    g0, g1, *rest = gens
+    for images in (
+        [*gens[1:], g0],
+        [g1, g0, *rest],
+        [t[g0][g1], g1, *rest],
+        [g0, t[g1][g0], *rest],
+    ):
+        assert _hom_from_images(t, gens, images) is None
+    conjugations = {tuple(t[t[inverse[s]][x]][s] for x in range(g.order)) for s in gens}
+    maps = {tuple(phi) for phi in automorphisms(g)}
+    assert maps and maps <= conjugations
+    # a map that is a homomorphism but not injective is dropped too
+    c4 = build(Cyclic(4))
+    assert _hom_from_images(c4.table, greedy_generators(c4), [2]) is None
+
+
+def test_automorphisms_of_c2_5_leave_one_orbit_per_order():
+    # the maps generate GL(5, 2), which is transitive on the subspaces of
+    # each dimension
+    g = build(Product((Cyclic(2),) * 5))
+    maps = automorphisms(g)
+    seen: set[int] = set()
+    orbits = []
+    for s in all_subgroups(g).all:
+        if s.mask in seen:
+            continue
+        orbits.append(s.order)
+        seen.add(s.mask)
+        stack = [s.mask]
+        while stack:
+            elems = list(_bits(stack.pop()))
+            for phi in maps:
+                x = sum(1 << phi[a] for a in elems)
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+    assert orbits == [1, 2, 4, 8, 16, 32]
+
+
+RELABEL_GROUPS = tuple(
+    build(spec)
+    for spec in (
+        Product((Cyclic(2),) * 4),
+        Product((Product((Cyclic(2),) * 2), Cyclic(4))),
+        Product((GeneralizedQuaternion(8), Cyclic(2))),
+        Dihedral(4),
+        S4,
+    )
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_lattice_of_a_relabelled_table_is_the_relabelled_lattice(data):
+    # the greedy generators, and so the automorphisms the lattice uses,
+    # depend on the labels; the lattice itself must not
+    g = data.draw(st.sampled_from(RELABEL_GROUPS))
+    perm = (0, *data.draw(st.permutations(range(1, g.order))))
+    k = _finalize(f"{g.label}'", _relabelled(g.table, perm))
+
+    def image(subgroups):
+        return {
+            (sum(1 << perm[a] for a in _bits(s.mask)), s.order, s.is_cyclic)
+            for s in subgroups
+        }
+
+    def own(subgroups):
+        return {(s.mask, s.order, s.is_cyclic) for s in subgroups}
+
+    lat, relat = all_subgroups(g), all_subgroups(k)
+    for part, repart in zip(lat, relat):
+        assert own(repart) == image(part)
+        assert len(repart) == len(part)
 
 
 CLOSURE_GROUPS = tuple(
@@ -344,6 +466,21 @@ def test_subgroup_budget(monkeypatch):
     all_subgroups.cache_clear()
     with pytest.raises(BudgetExceeded):
         all_subgroups(build(Product((Cyclic(2),) * 3)))
+
+
+def test_subgroup_budget_is_exact_and_checked_inside_an_orbit(monkeypatch):
+    # C2^5 has 374 subgroups; its 155 subgroups of order 4 form one orbit,
+    # which alone overruns a budget of 100
+    g = build(Product((Cyclic(2),) * 5))
+    for budget, fits in ((100, False), (373, False), (374, True)):
+        monkeypatch.setattr(lattice, "MAX_SUBGROUPS", budget)
+        all_subgroups.cache_clear()
+        if fits:
+            assert len(all_subgroups(g).all) == 374
+        else:
+            with pytest.raises(BudgetExceeded, match=f"exceeds {budget}"):
+                all_subgroups(g)
+    all_subgroups.cache_clear()
 
 
 def test_as_group_reindexes_to_identity_zero():
