@@ -82,14 +82,17 @@ def _point_sets(g: FiniteGroup, universe, candidates) -> list[frozenset[int]]:
     return [frozenset(point[x] for x in _bits(c.mask & generators)) for c in candidates]
 
 
-def _solve(kind, g, target, universe, candidates, entries, node_budget):
+def _solve(kind, g, target, universe, candidates, entry, node_budget):
+    """Least cover of the universe by the candidates; `entry` makes the
+    CertEntry of a candidate, and is called for the certificate's members
+    only."""
     inst = make_instance(len(universe), _point_sets(g, universe, candidates))
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:
         return InvariantReport(kind, g, target, INFINITE, None, "no_cover")
     if not validate_cover(inst, sol):
         raise CheckFailed(f"{kind} cover of {g.label} failed re-validation")
-    cert = tuple(entries[inst.kept[i]] for i in sol.certificate)
+    cert = tuple(entry(candidates[inst.kept[i]]) for i in sol.certificate)
     return InvariantReport(kind, g, target, sol.value, cert)
 
 
@@ -102,10 +105,9 @@ def sigma(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantRe
     if g.is_cyclic:
         return InvariantReport("sigma", g, None, INFINITE, None, "G_cyclic")
     lat = all_subgroups(g)
-    candidates = list(lat.maximal_subgroups)
-    entries = [CertEntry(c) for c in candidates]
     return _solve(
-        "sigma", g, None, lat.maximal_cyclic_subgroups, candidates, entries, node_budget
+        "sigma", g, None, lat.maximal_cyclic_subgroups, lat.maximal_subgroups, CertEntry,
+        node_budget,
     )
 
 
@@ -114,10 +116,9 @@ def sigma_c(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> Invariant
     if g.is_cyclic:
         return InvariantReport("sigma_c", g, None, INFINITE, None, "G_cyclic")
     lat = all_subgroups(g)
-    candidates = list(lat.maximal_cyclic_subgroups)
-    entries = [CertEntry(c) for c in candidates]
     return _solve(
-        "sigma_c", g, None, lat.maximal_cyclic_subgroups, candidates, entries, node_budget
+        "sigma_c", g, None, lat.maximal_cyclic_subgroups, lat.maximal_cyclic_subgroups, CertEntry,
+        node_budget,
     )
 
 
@@ -130,7 +131,11 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     on feasible instances).  Candidates are the inclusion-maximal proper
     subgroups that embed, found by `maximal_filter` with an embedding search
     as its `keep`: anything inside an embeddable subgroup embeds too, so the
-    filter skips it without a search.
+    filter skips it without a search.  The search runs once per orbit of
+    the lattice's automorphisms: an automorphism a of G restricts to an
+    isomorphism S -> a(S), so the whole orbit shares one verdict.  Only the
+    certificate's members get a witness, each found by the same search on
+    its own table.
     """
     w = embeds(g, h)
     if w is not None:
@@ -143,21 +148,24 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     if g.is_cyclic:  # cyclic + dominated spectrum would have embedded
         raise CheckFailed(f"cyclic {g.label} has the spectrum of {h.label} but did not embed")
     lat = all_subgroups(g)
-    witnesses = {}  # mask -> embedding into H, for the admissible subgroups
+    verdicts: dict[int, bool] = {}  # orbit representative -> its orbit embeds in H
 
     def admissible(s: Subgroup) -> bool:
         if s.order == g.order or h.order % s.order:
             return False
-        ws = embeds(as_group(g, s), h)
-        if ws is not None:
-            witnesses[s.mask] = ws
-        return ws is not None
+        rep = lat.orbit[s.mask]
+        if rep not in verdicts:
+            verdicts[rep] = embeds(as_group(g, s), h) is not None
+        return verdicts[rep]
+
+    def witnessed(s: Subgroup) -> CertEntry:
+        w = embeds(as_group(g, s), h)
+        if w is None:
+            raise CheckFailed(f"{g.label}|{s.order}@{s.mask:x} does not embed in {h.label}")
+        return CertEntry(s, w)
 
     candidates = maximal_filter(lat.all, admissible)
-    entries = [CertEntry(s, witnesses[s.mask]) for s in candidates]
-    return _solve(
-        "ic", g, h, lat.maximal_cyclic_subgroups, candidates, entries, node_budget
-    )
+    return _solve("ic", g, h, lat.maximal_cyclic_subgroups, candidates, witnessed, node_budget)
 
 
 def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
@@ -188,6 +196,11 @@ def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
                 return False
     for i in range(len(subs)):
         for j in range(i + 1, len(subs)):
+            # the join holds the product set S_i S_j, of |S_i||S_j|/|S_i ^ S_j|
+            # elements, so past |H| it cannot embed and needs no closure
+            meet = (subs[i].mask & subs[j].mask).bit_count()
+            if subs[i].order * subs[j].order > h.order * meet:
+                continue
             joined = closure(g, _bits(subs[i].mask | subs[j].mask))
             if joined.order == g.order or h.order % joined.order:
                 continue

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import BudgetExceeded
 from .groups import CACHE_SIZE, INFINITE, ExtNat, FiniteGroup, Record, _bits, _finalize
@@ -83,10 +84,13 @@ def make_subgroup(g: FiniteGroup, members) -> Subgroup:
 
 
 class SubgroupLattice(
-    Record, namedtuple("SubgroupLattice", "all maximal_subgroups maximal_cyclic_subgroups")
+    Record, namedtuple("SubgroupLattice", "all maximal_subgroups maximal_cyclic_subgroups orbit")
 ):
-    # each a tuple of Subgroups in canonical order: all of them, the maximal
-    # proper ones, and the maximal ones among the cyclic ones
+    # the first three each a tuple of Subgroups in canonical order: all of
+    # them, the maximal proper ones, and the maximal ones among the cyclic
+    # ones; orbit maps each subgroup's mask to the mask of the subgroup its
+    # automorphism orbit was added with, read-only, so a property that
+    # automorphisms preserve (the isomorphism type) is found once per orbit
     __slots__ = ()
 
 
@@ -236,8 +240,9 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     `_join` closes S v <c> as a union of right cosets of S, returning G as
     soon as the union is too large for a proper subgroup.  Atoms inside a
     join of prime index over S are skipped for S: they would return that
-    join again.  Cached by table, so relabelled copies of a group share one
-    lattice.
+    join again.  The lattice's `orbit` maps every subgroup to the
+    representative its orbit was added with.  Cached by table, so
+    relabelled copies of a group share one lattice.
     """
     table = g.table
     n = g.order
@@ -278,11 +283,12 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
 
     known: dict[int, Subgroup] = {c.mask: c for c in cyclics}
     frontier = []
-    seen: set[int] = set()
+    representative: dict[int, int] = {}  # mask -> mask of its orbit's representative
     for c in cyclics:
-        if c.mask not in seen:
+        if c.mask not in representative:
             frontier.append(c)
-            seen.update(orbit(c.mask))
+            for x in orbit(c.mask):
+                representative[x] = c.mask
     # The generating lists and member lists live here, by mask, and not on
     # `Subgroup`: a generating list depends on the route by which a subgroup
     # was found, so equal subgroups from `closure`, `make_subgroup` and the
@@ -313,6 +319,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
                 # join is new and not cyclic
                 for x in orbit(mask, MAX_SUBGROUPS - len(known)):
                     known[x] = Subgroup(x, len(members), n, False)
+                    representative[x] = mask
                 gens[mask] = jgens
                 elems[mask] = members
                 fresh.append(known[mask])
@@ -322,6 +329,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
         tuple(ordered),
         tuple(maximal_filter([s for s in ordered if s.is_proper])),
         tuple(maximal_filter([s for s in ordered if s.is_cyclic])),
+        MappingProxyType(representative),
     )
 
 

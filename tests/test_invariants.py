@@ -1,8 +1,12 @@
 """The three invariants against brute-force cover search, plus the checkers."""
 
+import functools
 import itertools
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpinv import invariants
 from grpinv.cli import parse_spec
@@ -18,6 +22,7 @@ from grpinv.groups import (
     Product,
     SemidirectPQ,
     _bits,
+    _finalize,
     build,
     finite,
 )
@@ -38,7 +43,9 @@ from grpinv.invariants import (
     validate_optimal_ic_certificate,
 )
 from grpinv.iso import embeds, spectrum_dominates
-from grpinv.lattice import all_subgroups, as_group, make_subgroup
+from grpinv.lattice import all_subgroups, as_group, closure, make_subgroup
+from test_lattice import RELABEL_GROUPS
+from test_store import _relabelled
 
 
 def brute_force_cover_size(g, pool):
@@ -348,38 +355,43 @@ def reference_admissible(g, h):
 
 
 def test_ic_candidates_match_the_reference_pass(monkeypatch):
-    """The subgroups and witnesses `ic` hands to the cover, against the
-    per-element bitset pass."""
+    """The subgroups `ic` hands to the cover, and the witnesses of its
+    certificate's members, against the per-element bitset pass."""
     found = []
     real = invariants._solve
 
-    def capture(kind, g, target, universe, candidates, entries, node_budget):
-        assert candidates == [e.subgroup for e in entries]
-        found.append([(e.subgroup, e.embedding) for e in entries])
-        return real(kind, g, target, universe, candidates, entries, node_budget)
+    def capture(kind, g, target, universe, candidates, entry, node_budget):
+        found.append(candidates)
+        return real(kind, g, target, universe, candidates, entry, node_budget)
 
     monkeypatch.setattr(invariants, "_solve", capture)
     for gspec, hspec in POINT_SET_IC_PAIRS:
         g, h = build(parse_spec(gspec)), build(parse_spec(hspec))
-        ic(g, h)
-        assert len(found) == 1 and found.pop() == reference_admissible(g, h), gspec
+        report = ic(g, h)
+        reference = reference_admissible(g, h)
+        assert len(found) == 1 and found.pop() == [s for s, _ in reference], gspec
+        witness = {s: ws for s, ws in reference}
+        for e in report.certificate:
+            assert e.embedding == witness[e.subgroup], gspec
 
 
-def test_optimality_validator_rejects_containment():
+def contained_member_certificate():
+    """IC(C2^2;C2)'s certificate with its first member swapped for the
+    trivial subgroup, which the other members contain."""
     g = build(Product((Cyclic(2),) * 2))
     h = build(Cyclic(2))
     report = ic(g, h)
     trivial = make_subgroup(g, {0})
-    doctored = InvariantReport(
+    return InvariantReport(
         "ic", g, h, report.value,
         (CertEntry(trivial, (0,)),) + report.certificate[1:],
     )
-    assert not validate_optimal_ic_certificate(doctored)
 
 
-def test_optimality_validator_rejects_mergeable_pairs():
-    # seven order-2 subgroups of C2^3 cover it, but pairs generate C2^2
-    # subgroups that embed into the target, so the cover cannot be optimal
+def mergeable_pairs_certificate():
+    """Seven order-2 subgroups of C2^3 cover it, but pairs generate C2^2
+    subgroups that embed into the target C2^2, so the cover cannot be
+    optimal."""
     g = build(Product((Cyclic(2),) * 3))
     h = build(Product((Cyclic(2),) * 2))
     atoms = [s for s in all_subgroups(g).all if s.order == 2]
@@ -387,9 +399,69 @@ def test_optimality_validator_rejects_mergeable_pairs():
     for s in atoms:
         sub = as_group(g, s)
         entries.append(CertEntry(s, embeds(sub, h)))
-    fake = InvariantReport("ic", g, h, finite(7), tuple(entries))
+    return InvariantReport("ic", g, h, finite(7), tuple(entries))
+
+
+def test_optimality_validator_rejects_containment():
+    assert not validate_optimal_ic_certificate(contained_member_certificate())
+
+
+def test_optimality_validator_rejects_mergeable_pairs():
+    fake = mergeable_pairs_certificate()
     assert not validate_optimal_ic_certificate(fake)
-    assert ic(g, h).value == finite(3)
+    assert ic(fake.group, fake.target).value == finite(3)
+
+
+def reference_validate_optimal(report):
+    """`validate_optimal_ic_certificate` without its product-formula skip:
+    the closure of every pair of members is taken and searched."""
+    g, h = report.group, report.target
+    subs = [e.subgroup for e in report.certificate]
+    full = (1 << g.order) - 1
+    for i in range(len(subs)):
+        rest = functools.reduce(operator.or_, (s.mask for s in subs[:i] + subs[i + 1:]), 0)
+        if rest == full:
+            return False
+    for a, b in itertools.permutations(subs, 2):
+        if b.contains(a):
+            return False
+    for a, b in itertools.combinations(subs, 2):
+        joined = closure(g, _bits(a.mask | b.mask))
+        if joined.order < g.order and h.order % joined.order == 0:
+            if embeds(as_group(g, joined), h) is not None:
+                return False
+    return True
+
+
+def test_optimality_validator_skip_agrees_with_closing_every_pair():
+    reports = [contained_member_certificate(), mergeable_pairs_certificate()]
+    for gspec, hspec in POINT_SET_IC_PAIRS:
+        reports.append(ic(build(parse_spec(gspec)), build(parse_spec(hspec))))
+    verdicts = [validate_optimal_ic_certificate(r) for r in reports]
+    assert verdicts == [reference_validate_optimal(r) for r in reports]
+    assert verdicts == [False, False] + [True] * len(POINT_SET_IC_PAIRS)
+
+
+RELABEL_IC_TARGETS = tuple(
+    build(parse_spec(spec)) for spec in ("C2^2", "C2^3", "C4xC2", "D4", "D3", "D12")
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_ic_of_a_relabelled_table_keeps_its_value_and_certifies(data):
+    # relabelling moves the greedy generators, so the automorphisms, the
+    # orbit representatives and which subgroup an orbit's verdict comes from
+    g = data.draw(st.sampled_from(RELABEL_GROUPS))
+    h = data.draw(st.sampled_from(RELABEL_IC_TARGETS))
+    perm = (0, *data.draw(st.permutations(range(1, g.order))))
+    k = _finalize(f"{g.label}'", _relabelled(g.table, perm))
+    report = ic(k, h)
+    assert report.value == ic(g, h).value
+    if report.value.is_finite:
+        assert certificate_sound(report)
+        if report.value.value > 1:
+            assert validate_optimal_ic_certificate(report)
 
 
 def test_optimality_validator_pre():
