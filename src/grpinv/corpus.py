@@ -133,40 +133,49 @@ def corpus(bound: int) -> tuple[CorpusEntry, ...]:
 # ---------------------------------------------------------------------------
 
 class SweepContext:
-    """One label-keyed memo for the invariant calls a sweep repeats, plus
-    the certificate-soundness ledger backing the verify report."""
+    """A label-keyed memo for the invariant calls a sweep repeats, plus the
+    certificate-soundness ledger backing the verify report.
+
+    The ledger is kept by label: each label pair counts one certificate and
+    gets its own failure lines.  Under it, each distinct (kind, tables) is
+    computed and re-validated once per context.  Groups, reports and every
+    cache under the invariants compare by table, so a relabelled copy would
+    get an equal report and the same verdict."""
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
         self.node_budget = node_budget
         # (kind, *labels) -> value
         self._values: dict[tuple[str, ...], ExtNat] = {}
+        # (kind, *groups) -> (value, what its re-validation found wrong)
+        self._checked: dict[tuple, tuple[ExtNat, tuple[str, ...]]] = {}
         self.certificates_checked = 0
         self.certificate_failures: list[str] = []
 
-    def _note(self, report) -> None:
-        """Re-validate a finite report's certificate, and for an ic value
-        above 1 its optimality conditions, into the ledger."""
-        if not report.value.is_finite:
-            return
-        self.certificates_checked += 1
-        name = f"{report.kind}({';'.join(report.operands)})"
-        if not inv.certificate_sound(report):
-            self.certificate_failures.append(f"{name} certificate unsound")
-        if report.kind == "ic" and report.value.value > 1:
-            if not inv.validate_optimal_ic_certificate(report):
-                self.certificate_failures.append(f"{name} optimality conditions fail")
+    def _check(self, kind: str, groups: tuple[FiniteGroup, ...]):
+        """`inv.<kind>` on the groups, with its re-validation, once per
+        distinct tables.  Nothing is kept of a call that raises, so a value
+        the budget cannot reach is searched for again by each caller."""
+        key = (kind, *groups)
+        found = self._checked.get(key)
+        if found is None:
+            report = getattr(inv, kind)(*groups, self.node_budget)
+            found = self._checked[key] = (report.value, _problems(report))
+        return found
 
     def _value(self, key: tuple[str, ...], *groups: FiniteGroup) -> ExtNat:
         """The value of `inv.<key[0]>` on the groups, whose labels make up
-        the rest of the key; computed, and its certificate noted, once per
-        key.  The callers build the key inline: `verify` makes 136,262
-        lookups, nearly all hits, and a key assembled here from the groups
-        costs three times as much per hit."""
+        the rest of the key; noted in the ledger once per key.  The callers
+        build the key inline: `verify` makes 136,262 lookups, nearly all
+        hits, and a key assembled here from the groups costs three times as
+        much per hit."""
         value = self._values.get(key)
         if value is None:
-            report = getattr(inv, key[0])(*groups, self.node_budget)
-            self._note(report)
-            value = self._values[key] = report.value
+            value, problems = self._check(key[0], groups)
+            if value.is_finite:
+                self.certificates_checked += 1
+                name = f"{key[0]}({';'.join(key[1:])})"
+                self.certificate_failures.extend(f"{name} {p}" for p in problems)
+            self._values[key] = value
         return value
 
     def ic_value(self, g: FiniteGroup, h: FiniteGroup) -> ExtNat:
@@ -177,6 +186,20 @@ class SweepContext:
 
     def sigma_c_value(self, g: FiniteGroup) -> ExtNat:
         return self._value(("sigma_c", g.label), g)
+
+
+def _problems(report) -> tuple[str, ...]:
+    """What re-validating a finite report's certificate, and for an ic value
+    above 1 its optimality conditions, finds wrong."""
+    if not report.value.is_finite:
+        return ()
+    problems = []
+    if not inv.certificate_sound(report):
+        problems.append("certificate unsound")
+    if report.kind == "ic" and report.value.value > 1:
+        if not inv.validate_optimal_ic_certificate(report):
+            problems.append("optimality conditions fail")
+    return tuple(problems)
 
 
 # ---------------------------------------------------------------------------
@@ -209,27 +232,64 @@ def _sweep(suite: str, cases):
     return run
 
 
-def _triangle_cases(ctx: SweepContext, bound: int):
-    """IC(G;K) <= IC(G;H) * IC(H;K) over all ordered corpus triples."""
+def _triangle(ctx: SweepContext, bound: int) -> list[CheckResult]:
+    """IC(G;K) <= IC(G;H) * IC(H;K) over all ordered corpus triples.
+
+    The IC values are read from a table filled once per ordered pair, so a
+    triple whose three values are all in it only compares them, as
+    `check_triangle` does.  The table keeps no exception: a triple missing a
+    value runs `check_triangle` on corpus indices, whose `ic_fn` asks `ctx`
+    again for what the table lacks.  That raises again, in the checker's
+    order IC(G;K), IC(G;H), IC(H;K), so the skip or fail keeps the detail
+    it has without the table."""
     groups = [e.group for e in corpus(bound)]
-    for a, b, c in itertools.product(groups, repeat=3):
-        yield (
-            f"triangle({a.label};{b.label};{c.label})",
-            partial(inv.check_triangle, a, b, c, ic_fn=ctx.ic_value),
-        )
+    table: list[list[ExtNat | None]] = []
+    for g in groups:
+        row: list[ExtNat | None] = []
+        for h in groups:
+            try:
+                row.append(ctx.ic_value(g, h))
+            except (BudgetExceeded, CheckFailed):
+                row.append(None)
+        table.append(row)
+
+    def ic_fn(i: int, j: int) -> ExtNat:
+        value = table[i][j]
+        return ctx.ic_value(groups[i], groups[j]) if value is None else value
+
+    clock = time.perf_counter
+    results: list[CheckResult] = []
+    indexed = list(enumerate(groups))
+    for (i, a), (j, b), (k, c) in itertools.product(indexed, repeat=3):
+        name = f"triangle({a.label};{b.label};{c.label})"
+        gk, gh, hk = table[i][k], table[i][j], table[j][k]
+        if gk is None or gh is None or hk is None:
+            results.append(
+                _run("triangle", name, partial(inv.check_triangle, i, j, k, ic_fn=ic_fn))
+            )
+            continue
+        start = clock()
+        status = "pass" if gk <= gh * hk else "fail"
+        results.append(CheckResult("triangle", name, status, "", clock() - start))
+    return results
 
 
 def _bounds_cases(ctx: SweepContext, bound: int):
     """sigma <= IC <= sigma_c sandwich over all ordered corpus pairs.
 
-    sigma and sigma_c are computed once per group and sweep, by value only:
-    they stay out of the certificate ledger, which counts the IC values and
-    the examples table.  `lru_cache` keeps no exception, so a value the budget
+    sigma and sigma_c come from `ctx` by value only: they are computed once
+    per group and sweep, the examples table's included, and stay out of the
+    certificate ledger, which counts the IC values and the examples table.
+    `ctx` keeps nothing of a search that raises, so a value the budget
     cannot reach is searched for again, and skipped, by each check needing it."""
     groups = [e.group for e in corpus(bound)]
-    memo = lru_cache(maxsize=CACHE_SIZE)
-    sigma_fn = memo(lambda g: inv.sigma(g, ctx.node_budget).value)
-    sigma_c_fn = memo(lambda g: inv.sigma_c(g, ctx.node_budget).value)
+
+    def sigma_fn(g):
+        return ctx._check("sigma", (g,))[0]
+
+    def sigma_c_fn(g):
+        return ctx._check("sigma_c", (g,))[0]
+
     for a, b in itertools.product(groups, repeat=2):
         yield (
             f"bounds({a.label};{b.label})",
@@ -444,10 +504,11 @@ def _examples_cases(ctx: SweepContext, bound: int):
         yield "invariance(ic(D3;C6)=ic(Perm;C2xC3))", iso_invariance
 
 
-# Each entry is its own callable `(ctx, bound) -> list[CheckResult]`, and
-# every one is a `_sweep` over its suite's cases.
+# Each entry is its own callable `(ctx, bound) -> list[CheckResult]`; every
+# one but `_triangle`, whose triples skip `_run`, is a `_sweep` over its
+# suite's cases.
 SUITES = {
-    "triangle": _sweep("triangle", _triangle_cases),
+    "triangle": _triangle,
     "bounds": _sweep("bounds", _bounds_cases),
     "tozp": _sweep("tozp", _tozp_cases),
     "subadd": _sweep("subadd", _subadd_cases),

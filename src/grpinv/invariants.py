@@ -9,10 +9,12 @@ point per maximal cyclic subgroup is enough and the optimum is unchanged.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .cover import DEFAULT_NODE_BUDGET, make_instance, min_cover, validate_cover
 from .errors import CheckFailed, InvalidPartition
 from .groups import (
+    CACHE_SIZE,
     INFINITE,
     Cyclic,
     ExtNat,
@@ -168,6 +170,14 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     return _solve("ic", g, h, lat.maximal_cyclic_subgroups, candidates, witnessed, node_budget)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _join(g: FiniteGroup, mask: int) -> Subgroup:
+    """The subgroup generated by the elements of the mask.  Keyed by table,
+    so a member pair shared by the certificates of IC(G;H) for several H,
+    or by relabelled copies of G, is closed once."""
+    return closure(g, _bits(mask))
+
+
 def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
     """Structural optimality conditions for a nonunitary IC certificate:
 
@@ -201,7 +211,7 @@ def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
             meet = (subs[i].mask & subs[j].mask).bit_count()
             if subs[i].order * subs[j].order > h.order * meet:
                 continue
-            joined = closure(g, _bits(subs[i].mask | subs[j].mask))
+            joined = _join(g, subs[i].mask | subs[j].mask)
             if joined.order == g.order or h.order % joined.order:
                 continue
             if embeds(as_group(g, joined), h) is not None:

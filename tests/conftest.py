@@ -1,6 +1,6 @@
 import pytest
 
-from grpinv import corpus, groups, iso, lattice
+from grpinv import corpus, groups, invariants, iso, lattice
 
 
 @pytest.fixture
@@ -12,4 +12,5 @@ def fresh_caches():
     lattice.all_subgroups.cache_clear()
     lattice._subgroup_table.cache_clear()
     iso.embeds.cache_clear()
+    invariants._join.cache_clear()
     corpus.corpus.cache_clear()

@@ -13,8 +13,10 @@ from grpinv.corpus import (
     corpus,
     run_suites,
 )
-from grpinv.errors import BudgetExceeded
-from grpinv.invariants import check_bounds_sandwich
+from grpinv.cover import DEFAULT_NODE_BUDGET
+from grpinv.errors import BudgetExceeded, CheckFailed
+from grpinv.groups import Cyclic, Product, build, direct_product, finite
+from grpinv.invariants import check_bounds_sandwich, check_triangle
 from grpinv.iso import are_isomorphic
 
 
@@ -113,3 +115,76 @@ def test_bounds_suite_skips_each_check_its_budget_stops(budget):
             want.append("skip")
     assert [r.status for r in results] == want
     assert "skip" in want and "pass" in want
+
+
+def test_sweep_computes_ic_once_per_distinct_tables(monkeypatch):
+    # what run_suites(["product", "subadd"], max_order=8) runs, on a context
+    # the test can read
+    calls = Counter()
+    real = grpinv.invariants.ic
+
+    def counted(g, h, *args, **kwargs):
+        calls[g, h] += 1  # groups compare and hash by table
+        return real(g, h, *args, **kwargs)
+
+    monkeypatch.setattr(grpinv.invariants, "ic", counted)
+    ctx = SweepContext()
+    for suite in ("product", "subadd"):
+        results = SUITES[suite](ctx, 8)
+        assert results and all(r.status == "pass" for r in results)
+    assert calls and max(calls.values()) == 1
+    # relabelled copies, such as C2 x C2 of C2^2, are answered from the tables
+    assert sum(key[0] == "ic" for key in ctx._values) > len(calls)
+    # but the ledger still counts one certificate per label pair
+    assert ctx.certificates_checked == sum(
+        v.is_finite for key, v in ctx._values.items() if key[0] == "ic"
+    )
+
+
+def test_relabelled_copies_share_a_computation_but_not_a_ledger_line(monkeypatch):
+    calls = []
+    real = grpinv.invariants.ic
+
+    def perturbed(g, h, *args, **kwargs):
+        calls.append((g.label, h.label))
+        report = real(g, h, *args, **kwargs)
+        return report._replace(value=finite(report.value.value + 1))
+
+    monkeypatch.setattr(grpinv.invariants, "ic", perturbed)
+    ctx = SweepContext()
+    c2 = build(Cyclic(2))
+    ctx.ic_value(build(Product((Cyclic(2),) * 2)), c2)
+    ctx.ic_value(direct_product(c2, c2), c2)
+    assert calls == [("C2^2", "C2")]
+    assert ctx.certificates_checked == 2
+    assert ctx.certificate_failures == [
+        "ic(C2^2;C2) certificate unsound",
+        "ic(C2 x C2;C2) certificate unsound",
+    ]
+
+
+@pytest.mark.parametrize("budget", [1, 3, DEFAULT_NODE_BUDGET])
+def test_triangle_suite_matches_check_triangle_over_a_label_memo(budget):
+    results = SUITES["triangle"](SweepContext(node_budget=budget), 8)
+    groups = [e.group for e in corpus(8)]
+    memo = {}
+
+    def ic_fn(g, h):
+        key = (g.label, h.label)
+        if key not in memo:
+            memo[key] = grpinv.invariants.ic(g, h, budget).value
+        return memo[key]
+
+    want = []
+    for a, b, c in itertools.product(groups, repeat=3):
+        name = f"triangle({a.label};{b.label};{c.label})"
+        try:
+            status, detail = ("pass" if check_triangle(a, b, c, ic_fn=ic_fn) else "fail"), ""
+        except BudgetExceeded as exc:
+            status, detail = "skip", str(exc)
+        except CheckFailed as exc:
+            status, detail = "fail", str(exc)
+        want.append((name, status, detail))
+    assert [(r.name, r.status, r.detail) for r in results] == want
+    statuses = {status for _, status, _ in want}
+    assert statuses == ({"pass", "skip"} if budget < DEFAULT_NODE_BUDGET else {"pass"})
