@@ -3,8 +3,11 @@
 `are_isomorphic` and `embeds` are two entries to one search for an
 injective homomorphism K -> H.  It rejects when some element order is
 rarer in H than in K, then backtracks over images of a greedy generating
-set of K, taken in H's index order, extending the partial map through
-subgroup closure so violations surface long before a full assignment.
+set of K, taken in H's index order.  Each partial map goes through
+`lattice._hom_from_images`, the breadth-first kernel that also confirms
+the lattice's automorphisms: it walks the Cayley graph of the generators
+mapped so far and fails on the first edge or repeated image that breaks
+an injective homomorphism, long before a full assignment.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 from .errors import CheckFailed
 from .groups import CACHE_SIZE, FiniteGroup
-from .lattice import closure, greedy_generators
+from .lattice import _hom_from_images, closure, greedy_generators
 
 EmbeddingWitness = tuple[int, ...]
 
@@ -33,45 +36,6 @@ def missing_order(g: FiniteGroup, h: FiniteGroup) -> int | None:
     """Least element order of G absent from H, if any."""
     gaps = set(g.elem_order) - set(h.elem_order)
     return min(gaps) if gaps else None
-
-
-def _extend(g, h, phi, elems, used, new_elem, image):
-    """Extend a partial injective homomorphism by new_elem -> image.
-
-    Closes the domain subgroup under products while propagating images;
-    returns the extended (phi, elems, used) or None on any inconsistency.
-    """
-    gt, ht = g.table, h.table
-    phi = phi.copy()
-    elems = elems.copy()
-    used = used.copy()
-    if image in used:
-        return None
-    phi[new_elem] = image
-    used.add(image)
-    elems.append(new_elem)
-    queue = [new_elem]
-    while queue:
-        a = queue.pop()
-        pa = phi[a]
-        ga, ha = gt[a], ht[pa]
-        i = 0
-        while i < len(elems):
-            b = elems[i]
-            i += 1
-            pb = phi[b]
-            for x, px in ((ga[b], ha[pb]), (gt[b][a], ht[pb][pa])):
-                cur = phi[x]
-                if cur < 0:
-                    if px in used:
-                        return None
-                    phi[x] = px
-                    used.add(px)
-                    elems.append(x)
-                    queue.append(x)
-                elif cur != px:
-                    return None
-    return phi, elems, used
 
 
 def _splits(k: FiniteGroup, head, tail) -> bool:
@@ -95,36 +59,41 @@ def _embedding(k: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
     have = Counter(h.elem_order)
     if any(n > have[d] for d, n in Counter(k.elem_order).items()):
         return None
-    gens = greedy_generators(k)
+    kt, ht, gens = k.table, h.table, greedy_generators(k)
     candidates = {o: [b for b, e in enumerate(h.elem_order) if e == o] for o in have}
     # failed[i]: images T of maps on S = <g_0..g_i> that extend to no
     # solution, kept where K = S x <g_i+1..>: every automorphism a of S then
     # extends to K as a x id, so all maps onto T extend alike
     failed: dict[int, set | None] = {}
 
-    def dfs(level, phi, elems, used):
+    def dfs(images, phi):
+        level = len(images)
         if level == len(gens):
             return tuple(phi)
-        a = gens[level]
-        for b in candidates[k.elem_order[a]]:
-            ext = _extend(k, h, phi, elems, used, a, b)
-            if ext is None or failed.get(level) and frozenset(ext[2]) in failed[level]:
+        head = gens[:level + 1]
+        for b in candidates[k.elem_order[head[-1]]]:
+            chosen = [*images, b]
+            ext = _hom_from_images(kt, ht, head, chosen)
+            if ext is None or failed.get(level) and frozenset(ext) in failed[level]:
                 continue
             # dead if a generator after the next (tried at once) has no image left
             if all(
-                any(_extend(k, h, *ext, c, x) for x in candidates[k.elem_order[c]])
+                any(
+                    _hom_from_images(kt, ht, [*head, c], [*chosen, x])
+                    for x in candidates[k.elem_order[c]]
+                )
                 for c in gens[level + 2:]
             ):
-                found = dfs(level + 1, *ext)
+                found = dfs(chosen, ext)
                 if found is not None:
                     return found
             if level not in failed:
-                failed[level] = set() if _splits(k, gens[:level + 1], gens[level + 1:]) else None
+                failed[level] = set() if _splits(k, head, gens[level + 1:]) else None
             if failed[level] is not None:
-                failed[level].add(frozenset(ext[2]))
+                failed[level].add(frozenset(ext))
         return None
 
-    witness = dfs(0, [0] + [-1] * (k.order - 1), [0], {0})
+    witness = dfs([], [0] + [-1] * (k.order - 1))
     if witness is not None and not is_embedding(k, h, witness):
         raise CheckFailed(f"embedding {k.label} -> {h.label} failed re-validation")
     return witness

@@ -170,28 +170,34 @@ def greedy_generators(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def _hom_from_images(table, gens, images) -> list[int] | None:
-    """The automorphism of G sending gens[i] to images[i], as the list of
-    images of 0..|G|-1, or None if there is none.
+def _hom_from_images(ktable, htable, gens, images) -> list[int] | None:
+    """The injective homomorphism <gens> -> H sending gens[i] to images[i],
+    for K and H given by their tables, as the list of images of K's
+    elements with -1 outside <gens>; or None if there is none.
 
-    phi is built by a breadth-first search over the Cayley graph on `gens`,
-    from phi(0) = 0 and phi(x*s) = phi(x)*phi(s).  It is kept only if that
-    rule holds on every edge x -> x*s and phi is injective: then, by
-    induction on word length, phi(x*y) = phi(x)*phi(y) for all x and y.
+    phi is built by a breadth-first search over the Cayley graph of <gens>,
+    from phi(0) = 0 and phi(x*s) = phi(x)*phi(s).  It fails as soon as an
+    edge x -> x*s breaks that rule or an image is assigned twice; if it
+    never fails, phi(x*y) = phi(x)*phi(y) for all x, y in <gens>, by
+    induction on word length, and phi is injective.
     """
-    phi = [-1] * len(table)
+    phi = [-1] * len(ktable)
     phi[0] = 0
+    used = {0}
     queue = [0]
     for x in queue:
-        row, image_row = table[x], table[phi[x]]
+        row, image_row = ktable[x], htable[phi[x]]
         for s, t in zip(gens, images):
             y, fy = row[s], image_row[t]
             if phi[y] < 0:
+                if fy in used:
+                    return None
                 phi[y] = fy
+                used.add(fy)
                 queue.append(y)
             elif phi[y] != fy:
                 return None
-    return phi if len(set(phi)) == len(phi) else None
+    return phi
 
 
 def automorphisms(g: FiniteGroup) -> list[list[int]]:
@@ -219,7 +225,7 @@ def automorphisms(g: FiniteGroup) -> list[list[int]]:
     maps = {}
     for images in candidates:
         if images != gens:
-            phi = _hom_from_images(table, gens, images)
+            phi = _hom_from_images(table, table, gens, images)
             if phi is not None:
                 maps.setdefault(tuple(phi), phi)
     return list(maps.values())

@@ -22,7 +22,14 @@ from grpinv.iso import (
     order_spectrum,
     spectrum_dominates,
 )
-from grpinv.lattice import all_subgroups, as_group, closure, cyclic_subgroups, greedy_generators
+from grpinv.lattice import (
+    _hom_from_images,
+    all_subgroups,
+    as_group,
+    closure,
+    cyclic_subgroups,
+    greedy_generators,
+)
 
 
 def exhaustive_isomorphism_exists(g, h):
@@ -160,23 +167,44 @@ def reference_embeds(k, h):
     )
 
 
+def extend_by_pairwise_closure(k, h, phi, a, b):
+    """The partial injective homomorphism phi (a dict from a subgroup of K
+    into H) extended by a -> b, with its domain closed under products of
+    pairs; None if two products disagree or two elements share an image."""
+    phi, used = dict(phi), set(phi.values())
+    pending = [(a, b)]
+    while pending:
+        x, fx = pending.pop()
+        if x in phi:
+            if phi[x] != fx:
+                return None
+            continue
+        if fx in used:
+            return None
+        phi[x] = fx
+        used.add(fx)
+        for y, fy in list(phi.items()):
+            pending += [(k.table[x][y], h.table[fx][fy]), (k.table[y][x], h.table[fy][fx])]
+    return phi
+
+
 def reference_first_embedding(k, h):
     """The search without pruning: images of K's greedy generators in H's
-    index order, closed by `_extend`; the first full map found."""
+    index order, closed under pairwise products; the first full map found."""
     gens = greedy_generators(k)
 
-    def dfs(level, phi, elems, used):
+    def dfs(level, phi):
         if level == len(gens):
-            return tuple(phi)
+            return tuple(phi[x] for x in range(k.order))
         for b in range(h.order):
-            ext = grpinv.iso._extend(k, h, phi, elems, used, gens[level], b)
+            ext = extend_by_pairwise_closure(k, h, phi, gens[level], b)
             if ext is not None:
-                found = dfs(level + 1, *ext)
+                found = dfs(level + 1, ext)
                 if found is not None:
                     return found
         return None
 
-    return dfs(0, [0] + [-1] * (k.order - 1), [0], {0})
+    return dfs(0, {0: 0})
 
 
 def test_embeds_matches_the_subgroup_lattice_reference():
@@ -222,13 +250,47 @@ def test_embeds_rejects_on_element_order_counts(monkeypatch):
     def no_search(*_args):
         pytest.fail("the search ran")
 
-    monkeypatch.setattr(grpinv.iso, "_extend", no_search)
+    monkeypatch.setattr(grpinv.iso, "_hom_from_images", no_search)
     monkeypatch.setattr(grpinv.iso, "greedy_generators", no_search)
     k = build(Product((Cyclic(2),) * 2))
     for h in (build(Cyclic(4)), build(Cyclic(8))):
         assert spectrum_dominates(k, h)
         assert embeds.__wrapped__(k, h) is None
     assert are_isomorphic(k, build(Cyclic(4))) is None
+
+
+def test_hom_kernel_matches_the_pairwise_closure_on_proper_subgroups():
+    # the kernel on <g_0> and <g_0, g_1> for K's greedy generators, against
+    # every assignment of same-order images in another group H
+    groups = [e.group for e in corpus(8)]
+    for k, h in itertools.product(groups, repeat=2):
+        gens = greedy_generators(k)
+        for n in (1, 2)[:len(gens)]:
+            head = gens[:n]
+            pools = [[b for b in range(h.order) if h.elem_order[b] == k.elem_order[a]] for a in head]
+            for images in itertools.product(*pools):
+                ref = {0: 0}
+                for a, b in zip(head, images):
+                    ref = ref and extend_by_pairwise_closure(k, h, ref, a, b)
+                phi = _hom_from_images(k.table, h.table, head, images)
+                if ref is None:
+                    assert phi is None, (k.label, h.label, images)
+                else:
+                    assert phi == [ref.get(x, -1) for x in range(k.order)], (k.label, h.label, images)
+
+
+def test_hom_kernel_rejects_a_homomorphism_that_is_not_injective():
+    # C4 -> C2 sending the generator to the involution: its square and the
+    # identity share the image 0
+    c2, c4 = build(Cyclic(2)), build(Cyclic(4))
+    assert _hom_from_images(c4.table, c2.table, greedy_generators(c4), [1]) is None
+
+
+def test_hom_kernel_on_a_proper_subgroup_leaves_the_rest_unmapped():
+    # <2> <= C4 into C2^2 is defined on {0, 2} only
+    c4, c2_2 = build(Cyclic(4)), build(Product((Cyclic(2),) * 2))
+    b = c2_2.elem_order.index(2)
+    assert _hom_from_images(c4.table, c2_2.table, [2], [b]) == [0, -1, b, -1]
 
 
 def test_embeds_witness_is_the_first_in_target_index_order():

@@ -283,13 +283,13 @@ def test_candidate_maps_that_are_not_homomorphisms_are_dropped():
         [t[g0][g1], g1, *rest],
         [g0, t[g1][g0], *rest],
     ):
-        assert _hom_from_images(t, gens, images) is None
+        assert _hom_from_images(t, t, gens, images) is None
     conjugations = {tuple(t[t[inverse[s]][x]][s] for x in range(g.order)) for s in gens}
     maps = {tuple(phi) for phi in automorphisms(g)}
     assert maps and maps <= conjugations
     # a map that is a homomorphism but not injective is dropped too
     c4 = build(Cyclic(4))
-    assert _hom_from_images(c4.table, greedy_generators(c4), [2]) is None
+    assert _hom_from_images(c4.table, c4.table, greedy_generators(c4), [2]) is None
 
 
 def test_automorphisms_of_c2_5_leave_one_orbit_per_order():
