@@ -185,8 +185,9 @@ def _maximal(masks, keep=None) -> list[int]:
     no kept mask contains; with `keep`, a mask is kept only if keep(its
     position) is true.
 
-    The inclusion-maximal filter behind the maximal subgroups, the maximal
-    cyclic subgroups, the candidates of IC(G;H) and a cover instance's sets.
+    The inclusion-maximal filter behind a cover instance's sets, and behind
+    `lattice.maximal_filter`, the reference for the lattice's strata and the
+    candidates of IC(G;H), which the lattice's joins decide per orbit.
     Masks go from the largest popcount down, and each is checked against
     the kept masks of larger popcount: distinct masks of one popcount never
     contain each other.  `keep` is asked only of a mask that lies in no

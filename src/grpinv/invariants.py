@@ -35,7 +35,6 @@ from .lattice import (
     as_group,
     closure,
     make_subgroup,
-    maximal_filter,
 )
 
 
@@ -131,13 +130,14 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     Fast paths: G embeds in H -> 1; an element order of G missing from H ->
     infinite (and for finite G the converse holds, so the solver only runs
     on feasible instances).  Candidates are the inclusion-maximal proper
-    subgroups that embed, found by `maximal_filter` with an embedding search
-    as its `keep`: anything inside an embeddable subgroup embeds too, so the
-    filter skips it without a search.  The search runs once per orbit of
-    the lattice's automorphisms: an automorphism a of G restricts to an
-    isomorphism S -> a(S), so the whole orbit shares one verdict.  Only the
-    certificate's members get a witness, each found by the same search on
-    its own table.
+    subgroups that embed, decided once per orbit of the lattice's
+    automorphisms, which map S isomorphically onto a(S) and keep inclusion.
+    The orbit representatives go from the largest down.  One with a join in
+    an embeddable orbit embeds too, but is no candidate, and needs no
+    search.  Any other is searched; every subgroup above it holds one of its
+    joins, none of which embeds, so if it embeds its orbit is candidates.
+    Only the certificate's members get a witness, each found by the same
+    search on its own table.
     """
     w = embeds(g, h)
     if w is not None:
@@ -150,15 +150,20 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     if g.is_cyclic:  # cyclic + dominated spectrum would have embedded
         raise CheckFailed(f"cyclic {g.label} has the spectrum of {h.label} but did not embed")
     lat = all_subgroups(g)
-    verdicts: dict[int, bool] = {}  # orbit representative -> its orbit embeds in H
-
-    def admissible(s: Subgroup) -> bool:
+    embeddable: dict[int, bool] = {}  # orbit representative -> its orbit embeds in H
+    chosen = set()  # the representatives of the candidates' orbits
+    for s in reversed(lat.all):
+        rep = s.mask
+        if lat.orbit[rep] != rep:
+            continue
         if s.order == g.order or h.order % s.order:
-            return False
-        rep = lat.orbit[s.mask]
-        if rep not in verdicts:
-            verdicts[rep] = embeds(as_group(g, s), h) is not None
-        return verdicts[rep]
+            embeddable[rep] = False
+        elif any(embeddable[lat.orbit[j]] for j in lat.joins[rep]):
+            embeddable[rep] = True
+        else:
+            embeddable[rep] = embeds(as_group(g, s), h) is not None
+            if embeddable[rep]:
+                chosen.add(rep)
 
     def witnessed(s: Subgroup) -> CertEntry:
         w = embeds(as_group(g, s), h)
@@ -166,7 +171,7 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
             raise CheckFailed(f"{g.label}|{s.order}@{s.mask:x} does not embed in {h.label}")
         return CertEntry(s, w)
 
-    candidates = maximal_filter(lat.all, admissible)
+    candidates = [s for s in lat.all if lat.orbit[s.mask] in chosen]
     return _solve("ic", g, h, lat.maximal_cyclic_subgroups, candidates, witnessed, node_budget)
 
 

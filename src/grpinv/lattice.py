@@ -1,10 +1,5 @@
 """Subgroup enumeration: cyclic atoms, join-closure lattice, maximal strata.
 
-The strata, the maximal proper and the maximal cyclic subgroups, come from
-`maximal_filter`, the subgroup-level entry to `groups._maximal`: the one
-inclusion-maximal filter, which also finds `ic`'s candidates and drops a
-cover instance's dominated sets.
-
 A subgroup is stored as one bitmask over the parent group's element indices,
 and `Subgroup.members` derives its elements from the mask, ascending, when a
 caller asks for them.  Without a second copy of each element set, the
@@ -28,17 +23,23 @@ skips those joins.
 The lattice is closed under every automorphism a of G, and automorphisms
 commute with joins: a(S) v <c> = a(S v <a^-1(c)>).  So only one subgroup
 per orbit is joined with the atoms, for the orbits under the group that
-`automorphisms(G)` generates: conjugation by the greedy generators, and
-whichever of a cyclic shift, a swap and two transvections of them extend
-to automorphisms.  A join that finds a new subgroup J adds J's whole orbit,
-and only J goes on to the next layer.  Images cost |J| lookups each and no
-closure, and the final sort leaves the lattice, and every certificate built
-on it, as it was without the orbits.  Any set of automorphisms keeps the
-lattice complete, since the known subgroups stay a union of orbits; the
-choice only sets how many joins are saved.  On C2^n the maps generate
-GL(n, 2), which leaves one orbit per order: C2^7's 29,212 subgroups come
-from 8 representatives.  Each map costs one image per orbit member, so a
-map that merges no orbits is pure cost.
+`automorphisms(G)` generates: the maps on the split generators (see
+`split_generators`) that extend to automorphisms.  A join that finds a new
+subgroup J adds J's whole orbit, and only J goes on to the next layer.
+Images cost |J| lookups each and no closure, and the final sort leaves the
+lattice, and every certificate built on it, as it was without the orbits.
+Any set of automorphisms keeps the lattice complete, since the known
+subgroups stay a union of orbits; the choice only sets how many joins are
+saved.  On C2^n two maps generate GL(n, 2), which leaves one orbit per
+order: C2^7's 29,212 subgroups come from 8 representatives.  Each map
+costs one image per orbit member, so a map that merges no orbits is pure
+cost.
+
+The lattice records each representative's joins with the atoms.  A
+subgroup T strictly above S holds an atom outside S, so it holds one of
+them; and automorphisms preserve inclusion and cyclicity.  So S's orbit is
+maximal proper when all its joins are G, and maximal cyclic when none of
+them is cyclic, and `ic` decides its candidates one orbit at a time.
 """
 
 from __future__ import annotations
@@ -84,13 +85,16 @@ def make_subgroup(g: FiniteGroup, members) -> Subgroup:
 
 
 class SubgroupLattice(
-    Record, namedtuple("SubgroupLattice", "all maximal_subgroups maximal_cyclic_subgroups orbit")
+    Record,
+    namedtuple("SubgroupLattice", "all maximal_subgroups maximal_cyclic_subgroups orbit joins"),
 ):
     # the first three each a tuple of Subgroups in canonical order: all of
     # them, the maximal proper ones, and the maximal ones among the cyclic
     # ones; orbit maps each subgroup's mask to the mask of the subgroup its
-    # automorphism orbit was added with, read-only, so a property that
-    # automorphisms preserve (the isomorphism type) is found once per orbit
+    # automorphism orbit was added with, so a property that automorphisms
+    # preserve (the isomorphism type) is found once per orbit; joins maps
+    # each such representative's mask to a tuple of the distinct masks of
+    # S v <c> for the atoms <c> outside S (none for G); both read-only
     __slots__ = ()
 
 
@@ -153,7 +157,8 @@ def maximal_filter(subgroups, keep=None) -> list[Subgroup]:
     """The subgroups that lie in no kept one, in the order given; with
     `keep`, a subgroup is kept only if keep(it) is true.  `keep` is asked
     only of subgroups inside no kept one, and one it rejects shadows
-    nothing (see `_maximal`)."""
+    nothing (see `_maximal`).  The reference for the strata and `ic`'s
+    candidates, which the lattice's recorded joins decide per orbit."""
     subgroups = list(subgroups)
     test = None if keep is None else (lambda i: keep(subgroups[i]))
     return [subgroups[i] for i in _maximal([s.mask for s in subgroups], test)]
@@ -200,34 +205,68 @@ def _hom_from_images(ktable, htable, gens, images) -> list[int] | None:
     return phi
 
 
+def split_generators(g: FiniteGroup) -> list[int]:
+    """Generators of G, each of the highest order (ties by index) among the
+    elements whose cyclic subgroup meets the span so far only in the
+    identity: on an abelian p-group a basis, orders descending.  Where none
+    is left before the span is G, as on Q8, the greedy generators instead.
+    An element that fails stays failed, so one pass finds every pick."""
+    table, n = g.table, g.order
+    members, mask, gens = [0], 1, []
+    for a in sorted(range(n), key=g.elem_order.__getitem__, reverse=True):
+        if len(members) == n:
+            return gens
+        x = a
+        while x and not mask >> x & 1:
+            x = table[x][a]
+        if not x:
+            members, mask, gens = _join(table, members, mask, gens, a)
+    return gens if len(members) == n else greedy_generators(g)
+
+
 def automorphisms(g: FiniteGroup) -> list[list[int]]:
     """A few non-identity automorphisms of G, each as the list of images of
-    0..|G|-1: those among a handful of candidate maps on the greedy
-    generators g_0, g_1, ... that `_hom_from_images` confirms.
+    0..|G|-1: those among a handful of candidate maps on the split
+    generators (see `split_generators`) that `_hom_from_images` confirms.
 
-    The candidates are conjugation by each generator (the identity when it
-    is central), a cyclic shift of the generators, a swap of g_0 and g_1,
-    and the transvections g_0 -> g_0*g_1 and g_1 -> g_1*g_0.  On C_2^n these
-    generate GL(n, 2).  Candidates that are not automorphisms, and the
-    identity, are dropped.
+    The generators fall into blocks of equal order.  The candidates are
+    conjugation by each generator (the identity when it is central); in
+    each block, a cyclic shift of the block and the transvection
+    b_0 -> b_0*b_1 of its first two; and for the first generators b, b' of
+    two adjacent blocks, b -> b*b', b' -> b'*b and, unless that one is an
+    automorphism, b' -> b'*b^(|b|/|b'|).  Candidates that are not
+    automorphisms, and the identity, are dropped.  On C_2^n the shift and
+    the transvection generate GL(n, 2).
     """
-    table, inverse = g.table, g.inverse
-    gens = greedy_generators(g)
-    candidates = [[table[table[inverse[t]][s]][t] for s in gens] for t in gens]
-    if len(gens) > 1:
-        g0, g1, *rest = gens
-        candidates += [
-            [*gens[1:], g0],
-            [g1, g0, *rest],
-            [table[g0][g1], g1, *rest],
-            [g0, table[g1][g0], *rest],
-        ]
+    table, inverse, order = g.table, g.inverse, g.elem_order
+    gens = split_generators(g)
     maps = {}
-    for images in candidates:
-        if images != gens:
-            phi = _hom_from_images(table, table, gens, images)
-            if phi is not None:
-                maps.setdefault(tuple(phi), phi)
+
+    def keep(images) -> bool:
+        phi = None if images == gens else _hom_from_images(table, table, gens, images)
+        if phi is not None:
+            maps.setdefault(tuple(phi), phi)
+        return phi is not None
+
+    def moved(i, x):
+        return [*gens[:i], x, *gens[i + 1:]]
+
+    for t in gens:
+        keep([table[table[inverse[t]][s]][t] for s in gens])
+    starts = [i for i, b in enumerate(gens) if i == 0 or order[b] != order[gens[i - 1]]]
+    for i, j in zip(starts, [*starts[1:], len(gens)]):
+        b = gens[i]
+        if j - i > 1:
+            keep([*gens[:i], *gens[i + 1:j], b, *gens[j:]])
+            keep(moved(i, table[b][gens[i + 1]]))
+        if j < len(gens):
+            c = power = gens[j]
+            for _ in range(order[b] // order[c]):
+                power = table[power][b]
+            keep(moved(i, table[b][c]))
+            # b' -> b'*b^k is the k-th power of b' -> b'*b, which fixes b
+            if not keep(moved(j, table[c][b])):
+                keep(moved(j, power))
     return list(maps.values())
 
 
@@ -247,8 +286,10 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     soon as the union is too large for a proper subgroup.  Atoms inside a
     join of prime index over S are skipped for S: they would return that
     join again.  The lattice's `orbit` maps every subgroup to the
-    representative its orbit was added with.  Cached by table, so
-    relabelled copies of a group share one lattice.
+    representative its orbit was added with, and `joins` maps each
+    representative to its joins, which decide the strata one orbit at a
+    time.  Cached by table, so relabelled copies of a group share one
+    lattice.
     """
     table = g.table
     n = g.order
@@ -303,11 +344,13 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     gens: dict[int, list[int]] = {mask: [a] for mask, a in atoms}
     gens[1] = []
     elems: dict[int, list[int]] = {c.mask: list(_bits(c.mask)) for c in frontier}
+    joins: dict[int, set[int]] = {}  # representative's mask -> the masks of its joins
     while frontier:
         fresh: list[Subgroup] = []
         for s in frontier:
             smask = s.mask
             smembers = elems.pop(smask)
+            joins[smask] = sjoins = set()
             if smask == full_mask:
                 continue
             sgens = gens[smask]
@@ -318,24 +361,30 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
                 members, mask, jgens = _join(table, smembers, smask, sgens, c, caps[s.order])
                 if _is_prime(len(members) // s.order):
                     settled |= mask
-                if mask in known:
-                    continue
-                # every cyclic subgroup is known from the start, and the
-                # known subgroups are whole orbits, so the orbit of a new
-                # join is new and not cyclic
-                for x in orbit(mask, MAX_SUBGROUPS - len(known)):
-                    known[x] = Subgroup(x, len(members), n, False)
-                    representative[x] = mask
-                gens[mask] = jgens
-                elems[mask] = members
-                fresh.append(known[mask])
+                if mask not in known:
+                    # every cyclic subgroup is known from the start, and the
+                    # known subgroups are whole orbits, so the orbit of a new
+                    # join is new and not cyclic
+                    for x in orbit(mask, MAX_SUBGROUPS - len(known)):
+                        known[x] = Subgroup(x, len(members), n, False)
+                        representative[x] = mask
+                    gens[mask] = jgens
+                    elems[mask] = members
+                    fresh.append(known[mask])
+                sjoins.add(known[mask].mask)  # the stored int, not an equal copy
         frontier = fresh
+    # every subgroup strictly above S holds one of S's joins: S's orbit is
+    # maximal proper when they are all G, maximal cyclic when none is cyclic
+    cyclic = {c.mask for c in cyclics}
+    top = {r for r, js in joins.items() if js <= {full_mask}}
+    top_cyclic = {r for r, js in joins.items() if js.isdisjoint(cyclic)}
     ordered = sorted(known.values(), key=Subgroup.sort_key)
     return SubgroupLattice(
         tuple(ordered),
-        tuple(maximal_filter([s for s in ordered if s.is_proper])),
-        tuple(maximal_filter([s for s in ordered if s.is_cyclic])),
+        tuple(s for s in ordered if s.is_proper and representative[s.mask] in top),
+        tuple(s for s in ordered if s.is_cyclic and representative[s.mask] in top_cyclic),
         MappingProxyType(representative),
+        MappingProxyType({r: tuple(js) for r, js in joins.items()}),
     )
 
 

@@ -43,7 +43,7 @@ from grpinv.invariants import (
     validate_optimal_ic_certificate,
 )
 from grpinv.iso import embeds, spectrum_dominates
-from grpinv.lattice import all_subgroups, as_group, closure, make_subgroup
+from grpinv.lattice import all_subgroups, as_group, closure, make_subgroup, maximal_filter
 from test_lattice import RELABEL_GROUPS
 from test_store import _relabelled
 
@@ -375,6 +375,37 @@ def test_ic_candidates_match_the_reference_pass(monkeypatch):
             assert e.embedding == witness[e.subgroup], gspec
 
 
+def test_ic_candidates_match_the_maximal_filter(monkeypatch):
+    """The subgroups `ic` hands to the cover, decided once per orbit through
+    the recorded joins, against the inclusion-maximal filter over every
+    subgroup with an embedding search as its predicate."""
+    found = []
+    real = invariants._solve
+
+    def capture(kind, g, target, universe, candidates, entry, node_budget):
+        found.append(candidates)
+        return real(kind, g, target, universe, candidates, entry, node_budget)
+
+    monkeypatch.setattr(invariants, "_solve", capture)
+    groups = [e.group for e in corpus(16)]
+    pairs = [(g, h) for g in groups for h in groups]
+    pairs += [(build(parse_spec(a)), build(parse_spec(b))) for a, b in POINT_SET_IC_PAIRS]
+    solved = 0
+    for g, h in pairs:
+        ic(g, h)
+        if not found:
+            continue
+        solved += 1
+        reference = maximal_filter(
+            all_subgroups(g).all,
+            lambda s: s.is_proper
+            and h.order % s.order == 0
+            and embeds(as_group(g, s), h) is not None,
+        )
+        assert found.pop() == reference, (g.label, h.label)
+    assert solved == 173 + len(POINT_SET_IC_PAIRS)  # the pairs that reach the cover
+
+
 def contained_member_certificate():
     """IC(C2^2;C2)'s certificate with its first member swapped for the
     trivial subgroup, which the other members contain."""
@@ -455,7 +486,7 @@ RELABEL_IC_TARGETS = tuple(
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_ic_of_a_relabelled_table_keeps_its_value_and_certifies(data):
-    # relabelling moves the greedy generators, so the automorphisms, the
+    # relabelling moves the split generators, so the automorphisms, the
     # orbit representatives and which subgroup an orbit's verdict comes from
     g = data.draw(st.sampled_from(RELABEL_GROUPS))
     h = data.draw(st.sampled_from(RELABEL_IC_TARGETS))

@@ -38,6 +38,7 @@ from grpinv.lattice import (
     greedy_generators,
     make_subgroup,
     maximal_filter,
+    split_generators,
     totient_cover_bound,
 )
 from test_store import _relabelled
@@ -271,8 +272,8 @@ def test_automorphisms_pass_the_embedding_check(spec):
 
 
 def test_candidate_maps_that_are_not_homomorphisms_are_dropped():
-    # D4 x D4's greedy generators all have order 4, but no shift, swap or
-    # transvection of them extends to a homomorphism: only conjugations stay
+    # D4 x D4's greedy generators all have order 4, and no shift, swap or
+    # transvection of them extends to a homomorphism
     g = build(Product((Dihedral(4), Dihedral(4))))
     t, inverse = g.table, g.inverse
     gens = greedy_generators(g)
@@ -284,12 +285,47 @@ def test_candidate_maps_that_are_not_homomorphisms_are_dropped():
         [g0, t[g1][g0], *rest],
     ):
         assert _hom_from_images(t, t, gens, images) is None
+    # its split generators have orders 4, 4, 2, 2: b' -> b'*b is an outer
+    # automorphism, which leaves b' -> b'*b^2, one of its powers, untried,
+    # and the in-block maps and b -> b*b' are no homomorphisms
+    b, b1, c, c1 = gens = split_generators(g)
+    assert [g.elem_order[x] for x in gens] == [4, 4, 2, 2]
     conjugations = {tuple(t[t[inverse[s]][x]][s] for x in range(g.order)) for s in gens}
-    maps = {tuple(phi) for phi in automorphisms(g)}
-    assert maps and maps <= conjugations
+    outer = tuple(_hom_from_images(t, t, gens, [b, b1, t[c][b], c1]))
+    assert outer not in conjugations
+    assert {tuple(phi) for phi in automorphisms(g)} == conjugations | {outer}
     # a map that is a homomorphism but not injective is dropped too
     c4 = build(Cyclic(4))
     assert _hom_from_images(c4.table, c4.table, greedy_generators(c4), [2]) is None
+
+
+@pytest.mark.parametrize(
+    "spec, maps, orbits",
+    [
+        (Product((Cyclic(2),) * 5), 2, 6),
+        (Product((Product((Cyclic(2),) * 2), Product((Cyclic(4),) * 2))), 6, 18),
+        (Product((Cyclic(2), Cyclic(4), Cyclic(8))), 4, 27),
+        (Product((Dihedral(4), Dihedral(4))), 5, 141),
+    ],
+    ids=["C2^5", "C2^2xC4^2", "C2xC4xC8", "D4xD4"],
+)
+def test_split_generator_maps_merge_orbits(spec, maps, orbits):
+    # on greedy generators C2^2 x C4^2 kept one map (149 orbits), C2 x C4 x
+    # C8 none (81) and D4 x D4 only conjugations (214); C2^5 had four maps
+    g = build(spec)
+    assert len(automorphisms(g)) == maps
+    assert len(set(all_subgroups(g).orbit.values())) == orbits
+
+
+def test_split_generators_fall_back_to_greedy_ones():
+    # a basis, orders descending, on abelian p-groups
+    g = build(Product((Cyclic(2), Cyclic(4), Cyclic(8))))
+    gens = split_generators(g)
+    assert [g.elem_order[x] for x in gens] == [8, 4, 2]
+    assert closure(g, gens).order == g.order
+    # Q8: every cyclic subgroup meets <i> in {1, -1}
+    q8 = build(GeneralizedQuaternion(8))
+    assert split_generators(q8) == greedy_generators(q8)
 
 
 def test_automorphisms_of_c2_5_leave_one_orbit_per_order():
@@ -364,6 +400,37 @@ def test_every_subgroup_records_a_representative_of_its_orbit(spec):
             assert iso.are_isomorphic(as_group(g, s), as_group(g, rep)) is not None
 
 
+@pytest.mark.parametrize("spec", ORBIT_GROUPS.values(), ids=ORBIT_GROUPS.keys())
+def test_recorded_joins_are_complete(spec):
+    # every subgroup T strictly above a representative S holds one of S's
+    # recorded joins, which `ic` and the strata rely on; and each recorded
+    # join is a subgroup strictly above S
+    g = build(spec, max_order=HARD_MAX_ORDER)
+    lat = all_subgroups(g)
+    assert lat.joins.keys() == set(lat.orbit.values())
+    masks = {s.mask for s in lat.all}
+    for rep, joins in lat.joins.items():
+        assert all(j in masks and j & rep == rep != j for j in joins)
+        for t in masks:
+            if t & rep == rep != t:
+                assert any(j & t == j for j in joins)
+
+
+def test_strata_match_the_maximal_filter():
+    # the strata come from the recorded joins, one verdict per orbit; the
+    # filter over every subgroup is the reference
+    checked = 0
+    for name, spec in ORBIT_GROUPS.items():
+        lat = all_subgroups(build(spec, max_order=HARD_MAX_ORDER))
+        if len(lat.all) <= 400:
+            checked += 1
+            proper = maximal_filter(s for s in lat.all if s.is_proper)
+            cyclic = maximal_filter(s for s in lat.all if s.is_cyclic)
+            assert lat.maximal_subgroups == tuple(proper), name
+            assert lat.maximal_cyclic_subgroups == tuple(cyclic), name
+    assert checked == len(ORBIT_GROUPS) - 3  # all but C2^7, S6 and C2^4 x C4
+
+
 RELABEL_GROUPS = tuple(
     build(spec)
     for spec in (
@@ -379,7 +446,7 @@ RELABEL_GROUPS = tuple(
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_lattice_of_a_relabelled_table_is_the_relabelled_lattice(data):
-    # the greedy generators, and so the automorphisms the lattice uses,
+    # the split generators, and so the automorphisms the lattice uses,
     # depend on the labels; the lattice itself must not
     g = data.draw(st.sampled_from(RELABEL_GROUPS))
     perm = (0, *data.draw(st.permutations(range(1, g.order))))
@@ -394,7 +461,7 @@ def test_lattice_of_a_relabelled_table_is_the_relabelled_lattice(data):
     def own(subgroups):
         return {(s.mask, s.order, s.is_cyclic) for s in subgroups}
 
-    # the orbit partition follows the greedy generators, and so the labels:
+    # the orbit partition follows the split generators, and so the labels:
     # only the three strata are compared
     lat, relat = all_subgroups(g), all_subgroups(k)
     for part, repart in zip(lat[:3], relat[:3]):
