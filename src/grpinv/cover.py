@@ -28,10 +28,23 @@ lies above it.  Then lower the best size found while a smaller cover
 exists.  The certificate: fix one member at a time, the smallest index
 after the previous member whose remainder is still coverable by later
 candidates, which yields the lexicographically least optimal cover.  The
-last cover the kernel found is such a remainder, so its lowest member is
-accepted without another search.  Every kernel call spends one node of a
-single budget; running out raises `BudgetExceeded` with the bounds
-reached, never a non-optimal answer.
+smallest cover found so far, greedy's until the kernel finds a smaller
+one, is such a remainder, so its lowest member is accepted without another
+search.  Every kernel call spends one node of a single budget, and so does
+each member accepted without a search, so a certificate costs at least its
+size; running out raises `BudgetExceeded` with the bounds reached, never a
+non-optimal answer.
+
+An instance may label its candidates by classes whose members are images
+of each other under symmetries: permutations of the points that map every
+candidate into some candidate, as the automorphisms of G do for subgroups.
+The value searches then branch, at their root, over the lowest member of
+each class, in index order, and a member that fails takes its whole class
+out of the search.  That is sound: a symmetry maps any r-cover through a
+class member to an r-cover through the class's lowest member, once each
+image is replaced by a candidate that contains it; so, by induction over
+the classes that failed, no member of a failed class lies in any r-cover.
+The lexicographic pass needs no symmetry, and branches as before.
 """
 
 from __future__ import annotations
@@ -44,24 +57,47 @@ from .groups import INFINITE, ExtNat, Record, _bits, _maximal, finite
 DEFAULT_NODE_BUDGET = 10**8
 
 
-class CoverInstance(Record, namedtuple("CoverInstance", "universe_size masks kept feasible")):
+class CoverInstance(
+    Record, namedtuple("CoverInstance", "universe_size masks kept feasible labels", defaults=(None,))
+):
     """`masks` holds the candidate sets as bitmasks of points, duplicate-free
     with dominated (subset) sets removed, preserving first occurrence;
-    `kept` maps back to caller positions."""
+    `kept` maps back to caller positions.  `labels`, when not None, names
+    each kept candidate's class: candidates of one class are images of each
+    other under symmetries of the instance (see `make_instance`)."""
 
     __slots__ = ()
 
 
-def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
+def _mask(points) -> int:
+    mask = 0
+    for p in points:
+        if p < 0:
+            raise ValueError("candidate point outside universe")
+        mask |= 1 << p
+    return mask
+
+
+def make_instance(universe_size: int, point_masks, labels=None) -> CoverInstance:
+    """The cover instance of the candidates given as bitmasks of points
+    (bit p for point p).  An iterable of points is also taken for a
+    candidate, and folded into its mask.
+
+    `labels`, when given, holds one label per candidate, and candidates
+    with equal labels must be images of each other under a symmetry: a
+    permutation of the points that maps every candidate's set into the set
+    of some candidate.  The orbits of Aut(G) on the subgroups of G are such
+    classes.  `min_cover` then branches over one candidate per class at the
+    root of its value searches.
+    """
     if universe_size < 1:
         raise ValueError("universe must be nonempty")
     masks = []
-    for s in candidate_sets:
-        m = 0
-        for p in s:
-            if not 0 <= p < universe_size:
-                raise ValueError("candidate point outside universe")
-            m |= 1 << p
+    for m in point_masks:
+        if not isinstance(m, int):
+            m = _mask(m)
+        if m < 0 or m >> universe_size:
+            raise ValueError("candidate point outside universe")
         masks.append(m)
     kept = _maximal(masks)
     full = (1 << universe_size) - 1
@@ -73,6 +109,7 @@ def make_instance(universe_size: int, candidate_sets) -> CoverInstance:
         masks=tuple(masks[j] for j in kept),
         kept=tuple(kept),
         feasible=union == full,
+        labels=None if labels is None else tuple(labels[j] for j in kept),
     )
 
 
@@ -162,9 +199,21 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
         for p in _bits(m):
             point_bits[p] |= 1 << i
 
-    def coverable(uncovered: int, r: int, allowed: int) -> int | None:
+    # the classes of the instance's labels, as (bit of the lowest member,
+    # bitset of the members), lowest member first
+    label_classes = None
+    if inst.labels is not None:
+        members: dict = {}
+        for i, label in enumerate(inst.labels):
+            members[label] = members.get(label, 0) | 1 << i
+        label_classes = [(m & -m, m) for m in members.values()]
+
+    def coverable(uncovered: int, r: int, allowed: int, classes=None) -> int | None:
         """A bitset of at most r candidates in `allowed` that covers
-        `uncovered`, or None if there is none."""
+        `uncovered`, or None if there is none.  With `classes`, branch over
+        the lowest member of each class instead of the candidates of one
+        point, and drop a whole class from `allowed` when its member fails;
+        `min_cover` passes them only at the root of a value search."""
         budget.spend()
         if not uncovered:
             return 0
@@ -177,8 +226,9 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
             return allowed & -allowed or None
         # Below r = 3 the coverage bound costs more than it prunes: at r = 2
         # every child is a single AND.  Bounding r = 2 too saved 38 of the
-        # 3,661 nodes of C2^2xC4^2;C4^2 and slowed its min_cover from
-        # 0.05-0.08 to 0.08-0.10 s (2-vCPU Xeon, Python 3.11).
+        # 3,661 nodes that C2^2xC4^2;C4^2 took before the root orbit rule,
+        # and slowed its min_cover from 0.05-0.08 to 0.08-0.10 s (2-vCPU
+        # Xeon, Python 3.11).
         planes = [] if r >= 3 else None
         branch = _scan(point_bits, uncovered, allowed, planes)
         if not branch:
@@ -200,6 +250,15 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
             if total < size:
                 return None
             need = size - (total if left else total - count)
+        if classes is not None:
+            for low, members in classes:
+                m = masks[low.bit_length() - 1]
+                if (m & uncovered).bit_count() >= need:
+                    found = coverable(uncovered & ~m, r - 1, allowed)
+                    if found is not None:
+                        return found | low
+                allowed &= ~members  # no cover through this class is left
+            return None
         while branch:
             low = branch & -branch
             branch ^= low
@@ -212,28 +271,29 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
         return None
 
     # greedy upper bound (most new points, ties to the lowest index)
+    witness = 0  # the smallest cover found so far: greedy's, then the kernel's
     uncovered = full
-    optimum = 0
     while uncovered:
         planes: list[int] = []
         _scan(point_bits, uncovered, everything, planes)
         _, holders = next(_by_count(planes))
-        optimum += 1
-        uncovered &= ~masks[(holders & -holders).bit_length() - 1]
+        low = holders & -holders
+        witness |= low
+        uncovered &= ~masks[low.bit_length() - 1]
+    optimum = witness.bit_count()
 
-    witness = 0  # the last cover the kernel found, once there is one
     floor = 0  # the largest size known to have no cover
     try:
         # the counting bound first: far below the greedy size, one search at
         # `lower` spares the descent every size in between
         if lower <= optimum - 2:
-            found = coverable(full, lower, everything)
+            found = coverable(full, lower, everything, label_classes)
             if found is None:
                 floor = lower
             else:
                 witness, optimum = found, found.bit_count()
         while optimum > floor + 1:
-            smaller = coverable(full, optimum - 1, everything)
+            smaller = coverable(full, optimum - 1, everything, label_classes)
             if smaller is None:
                 break
             witness, optimum = smaller, smaller.bit_count()
@@ -242,9 +302,10 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
         raise BudgetExceeded(f"{exc}: optimum in [{low}, {optimum}]") from None
 
     # lex-least certificate: at each position the smallest candidate after
-    # the previous one whose remainder still fits in the members left.  Once
-    # the kernel has found one, `witness` is an optimal cover of `uncovered`
-    # by later candidates, so its lowest member fits without a search.
+    # the previous one whose remainder still fits in the members left.
+    # `witness` is an optimal cover of `uncovered` by later candidates, so
+    # its lowest member fits without a search; taking it spends a node, as
+    # a search would, so a certificate costs at least its size.
     certificate: list[int] = []
     uncovered = full
     c = -1
@@ -255,6 +316,7 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
             for c in range(c + 1, n):
                 low = 1 << c
                 if witness & low:
+                    budget.spend()
                     witness ^= low
                     break
                 m = masks[c]

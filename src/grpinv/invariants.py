@@ -67,27 +67,32 @@ class InvariantReport(
         return (self.group.label, self.target.label)
 
 
-def _point_sets(g: FiniteGroup, universe, candidates) -> list[frozenset[int]]:
-    """For each candidate, the indices of the universe points it contains.
+def _point_sets(g: FiniteGroup, universe, candidates) -> list[int]:
+    """For each candidate, the bitmask of the universe points it contains.
 
     A point is a cyclic subgroup <x>, and a subgroup contains <x> exactly
-    when it holds x, so each candidate's set is read off the bits of its
+    when it holds x, so each candidate's points are read off the bits of its
     mask ANDed with the mask of one generator per point.
     """
-    point = {}  # generator -> index of its point
+    point = {}  # generator -> bit of its point
     generators = 0
     for j, pt in enumerate(universe):
         x = next(x for x in _bits(pt.mask) if g.elem_order[x] == pt.order)
-        point[x] = j
+        point[x] = 1 << j
         generators |= 1 << x
-    return [frozenset(point[x] for x in _bits(c.mask & generators)) for c in candidates]
+    return [sum(map(point.__getitem__, _bits(c.mask & generators))) for c in candidates]
 
 
 def _solve(kind, g, target, universe, candidates, entry, node_budget):
     """Least cover of the universe by the candidates; `entry` makes the
     CertEntry of a candidate, and is called for the certificate's members
-    only."""
-    inst = make_instance(len(universe), _point_sets(g, universe, candidates))
+    only.  The candidates are labelled by their automorphism orbits, which
+    permute the points, so the cover search branches over one candidate per
+    orbit at the root of its value searches."""
+    orbit = all_subgroups(g).orbit
+    inst = make_instance(
+        len(universe), _point_sets(g, universe, candidates), [orbit[c.mask] for c in candidates]
+    )
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:
         return InvariantReport(kind, g, target, INFINITE, None, "no_cover")

@@ -235,8 +235,10 @@ def automorphisms(g: FiniteGroup) -> list[list[int]]:
     b_0 -> b_0*b_1 of its first two; and for the first generators b, b' of
     two adjacent blocks, b -> b*b', b' -> b'*b and, unless that one is an
     automorphism, b' -> b'*b^(|b|/|b'|).  Candidates that are not
-    automorphisms, and the identity, are dropped.  On C_2^n the shift and
-    the transvection generate GL(n, 2).
+    automorphisms, and the identity, are dropped, and so is the square of
+    a kept map (see `_drop_squares`): on a dihedral group, conjugation by
+    the rotation r is the square of s -> s*r.  On C_2^n the shift and the
+    transvection generate GL(n, 2).
     """
     table, inverse, order = g.table, g.inverse, g.elem_order
     gens = split_generators(g)
@@ -267,6 +269,18 @@ def automorphisms(g: FiniteGroup) -> list[list[int]]:
             # b' -> b'*b^k is the k-th power of b' -> b'*b, which fixes b
             if not keep(moved(j, table[c][b])):
                 keep(moved(j, power))
+    return _drop_squares(maps)
+
+
+def _drop_squares(maps: dict) -> list[list[int]]:
+    """The maps, in order, less each that is the square of a map still kept
+    when its turn comes: it lies in the group the kept maps generate, so the
+    orbits stay as they were, and each orbit member costs one image less per
+    map dropped.  Of a map of order 3 and its inverse, only the first goes."""
+    square = {key: tuple(map(phi.__getitem__, phi)) for key, phi in maps.items()}
+    for key in list(maps):
+        if any(square[other] == key for other in maps):
+            del maps[key]
     return list(maps.values())
 
 

@@ -6,10 +6,17 @@ import random
 import pytest
 
 import grpinv.invariants
+from grpinv.cli import parse_spec
+from grpinv.corpus import corpus
 from grpinv.cover import CoverSolution, make_instance, min_cover, validate_cover
 from grpinv.errors import BudgetExceeded
-from grpinv.groups import INFINITE, Cyclic, Product, _bits, build, finite
-from grpinv.invariants import ic
+from grpinv.groups import INFINITE, Cyclic, Product, build, finite
+from grpinv.invariants import ic, sigma, sigma_c
+
+
+def point_masks(sets):
+    """Each set of points as the bitmask `make_instance` takes."""
+    return [sum(1 << p for p in s) for s in sets]
 
 
 def exhaustive_min_cover(inst):
@@ -112,24 +119,24 @@ def random_instance(rng, max_universe=16, max_candidates=20, max_size=None):
     for _ in range(ncand):
         size = rng.randint(1, min(universe, max_size or universe))
         sets.append(frozenset(rng.sample(range(universe), size)))
-    return make_instance(universe, sets)
+    return make_instance(universe, point_masks(sets))
 
 
 def test_worked_example():
-    inst = make_instance(3, [{0, 1}, {1, 2}, {0, 2}])
+    inst = make_instance(3, point_masks([{0, 1}, {1, 2}, {0, 2}]))
     sol = min_cover(inst)
     assert sol.value == finite(2)
     assert [inst.masks[i] for i in sol.certificate] == [0b011, 0b110]
 
 
 def test_singleton_and_infeasible():
-    assert min_cover(make_instance(1, [{0}])).value == finite(1)
-    sol = min_cover(make_instance(2, [{0}]))
+    assert min_cover(make_instance(1, point_masks([{0}]))).value == finite(1)
+    sol = min_cover(make_instance(2, point_masks([{0}])))
     assert sol.value == INFINITE and sol.certificate is None
 
 
 def test_validate_cover_rejects_doctored_solutions():
-    inst = make_instance(3, [{0, 1}, {1, 2}, {0, 2}])
+    inst = make_instance(3, point_masks([{0, 1}, {1, 2}, {0, 2}]))
     sol = min_cover(inst)
     assert validate_cover(inst, sol)
     short = CoverSolution(finite(1), sol.certificate[:1])
@@ -141,7 +148,7 @@ def test_validate_cover_rejects_doctored_solutions():
 
 
 def test_duplicate_and_dominated_candidates_removed():
-    inst = make_instance(3, [{0}, {0, 1}, {0, 1}, {2}, set()])
+    inst = make_instance(3, point_masks([{0}, {0, 1}, {0, 1}, {2}, set()]))
     assert inst.masks == (0b011, 0b100)
     assert inst.kept == (1, 3)
     sol = min_cover(inst)
@@ -166,8 +173,7 @@ def test_value_invariant_under_candidate_permutation():
     rng = random.Random(1234)
     for _ in range(60):
         inst = random_instance(rng)
-        sets = [list(_bits(m)) for m in inst.masks]
-        shuffled = sets[:]
+        shuffled = list(inst.masks)
         rng.shuffle(shuffled)
         permuted = make_instance(inst.universe_size, shuffled)
         a, b = min_cover(inst), min_cover(permuted)
@@ -206,7 +212,7 @@ def planted_instance(rng):
     for _ in range(rng.randint(5, 30)):
         sets.append(frozenset(rng.sample(range(universe), rng.randint(1, size))))
     rng.shuffle(sets)
-    return make_instance(universe, sets)
+    return make_instance(universe, point_masks(sets))
 
 
 def test_matches_reference_solver_when_the_optimum_is_at_least_4():
@@ -237,7 +243,7 @@ def test_dominance_filter_matches_quadratic_reference():
             else:
                 s = set(rng.choice(sets)) | {rng.randrange(universe)}  # nesting one
             sets.append(frozenset(s))
-        inst = make_instance(universe, sets)
+        inst = make_instance(universe, point_masks(sets))
         assert (inst.kept, inst.masks, inst.feasible) == reference_make_instance(universe, sets)
 
 
@@ -278,12 +284,12 @@ def test_ic_c2_6_into_c2_4_fits_a_small_budget(monkeypatch):
 
 
 def test_budget_exhaustion_raises():
-    inst = make_instance(6, [{i, (i + 1) % 6} for i in range(6)])
+    inst = make_instance(6, point_masks({i, (i + 1) % 6} for i in range(6)))
     with pytest.raises(BudgetExceeded) as exc:
         min_cover(inst, node_budget=2)
     assert "node budget: optimum is 3, certificate unfinished" in str(exc.value)
     # greedy takes the 4-set first and needs 3; the optimum is the other two
-    greedy_misses = make_instance(6, [{0, 1, 2, 3}, {0, 2, 4}, {1, 3, 5}])
+    greedy_misses = make_instance(6, point_masks([{0, 1, 2, 3}, {0, 2, 4}, {1, 3, 5}]))
     with pytest.raises(BudgetExceeded, match=r"budget: optimum in \[2, 3\]"):
         min_cover(greedy_misses, node_budget=1)
 
@@ -291,9 +297,109 @@ def test_budget_exhaustion_raises():
 def test_failed_counting_probe_raises_the_floor():
     # counting bound 2, greedy 4: the probe rules out a 2-cover in two nodes,
     # so a budget spent in the descent reports the optimum from 3 up
-    inst = make_instance(6, [{0, 1, 2}, {3}, {4}, {5}])
+    inst = make_instance(6, point_masks([{0, 1, 2}, {3}, {4}, {5}]))
     with pytest.raises(BudgetExceeded, match=r"budget: optimum in \[2, 4\]"):
         min_cover(inst, node_budget=1)
     with pytest.raises(BudgetExceeded, match=r"budget: optimum in \[3, 4\]"):
         min_cover(inst, node_budget=2)
     assert min_cover(inst) == CoverSolution(finite(4), (0, 1, 2, 3))
+
+
+def test_points_are_masks_and_iterables_are_folded():
+    sets = [{0, 2}, {1}, set(), {0, 1, 2}]
+    assert make_instance(3, sets) == make_instance(3, point_masks(sets))
+    for bad in ([-1], [0b1000], [{3}], [{-1}]):
+        with pytest.raises(ValueError, match="outside universe"):
+            make_instance(3, bad)
+
+
+def shift_closed_instance(rng):
+    """Random sets with all their images under the shift p -> p + step
+    (mod the universe size), each labelled by the set it was shifted from:
+    the shift permutes the points and the candidates, so each label names
+    images of one set.  Drawn until the sets cover the universe."""
+    while True:
+        universe = rng.randint(2, 18)
+        step = rng.choice([d for d in range(1, universe + 1) if universe % d == 0])
+        sets, labels = [], []
+        for label in range(rng.randint(1, 4)):
+            size = rng.randint(1, min(universe, rng.choice((2, 3, 5))))
+            base = rng.sample(range(universe), size)
+            for k in range(0, universe, step):
+                sets.append({(p + k) % universe for p in base})
+                labels.append(label)
+        order = list(range(len(sets)))
+        rng.shuffle(order)
+        inst = make_instance(
+            universe, point_masks(sets[i] for i in order), [labels[i] for i in order]
+        )
+        if inst.feasible:
+            return inst
+
+
+def test_labelled_search_matches_unlabelled_and_reference():
+    rng = random.Random(0x0B17)
+    for _ in range(600):
+        inst = shift_closed_instance(rng)
+        sol = min_cover(inst)
+        assert sol == min_cover(inst._replace(labels=None)) == reference_min_cover(inst)
+
+
+def _captured_instances(monkeypatch, queries):
+    """The cover instances that the invariant queries hand to min_cover."""
+    captured = []
+    real = grpinv.invariants.min_cover
+
+    def capture(inst, node_budget):
+        captured.append(inst)
+        return real(inst, node_budget)
+
+    monkeypatch.setattr(grpinv.invariants, "min_cover", capture)
+    for query in queries:
+        query()
+    return captured
+
+
+COVER_PAIRS = (
+    ("C2^6", "C2^4"), ("C2^4xC4", "C2^2xC4"), ("C2^2xC4^2", "C4^2"), ("C2^5", "C2^3"),
+    ("C3^4", "C3^2"), ("C2^3xC4", "C4xC2"), ("C5^3", "C5"),
+)
+
+
+def test_orbit_labels_leave_every_solution_unchanged(monkeypatch):
+    groups = [e.group for e in corpus(12)]
+    queries = [lambda g=g: sigma(g) for g in groups]
+    queries += [lambda g=g: sigma_c(g) for g in groups]
+    queries += [lambda g=g, h=h: ic(g, h) for g in groups for h in groups]
+    queries += [
+        lambda a=a, b=b: ic(build(parse_spec(a)), build(parse_spec(b))) for a, b in COVER_PAIRS
+    ]
+    captured = _captured_instances(monkeypatch, queries)
+    assert len(captured) > 50
+    for inst in captured:
+        assert inst.labels is not None and len(inst.labels) == len(inst.masks)
+        assert min_cover(inst) == min_cover(inst._replace(labels=None))
+
+
+@pytest.mark.parametrize(
+    "g, h, nodes", [("C2^2xC4^2", "C4^2", 2_000), ("C2^3xC4", "C4xC2", 300)]
+)
+def test_orbit_pruning_fits_ic_in_a_small_budget(g, h, nodes):
+    # branching over one candidate per orbit at the root, and the greedy
+    # cover as the certificate's first witness: 3,661 and 1,079 nodes without
+    assert ic(build(parse_spec(g)), build(parse_spec(h)), node_budget=nodes).value.is_finite
+
+
+def test_greedy_witness_gives_way_to_a_smaller_first_member():
+    # greedy takes 2 (5 points) and then 3, an optimal cover; but 0 and 1
+    # also cover, so the lexicographic pass searches through 0, finds 1, and
+    # takes it from that search's cover
+    inst = make_instance(
+        8, point_masks([{0, 1, 2, 3}, {4, 5, 6, 7}, {0, 1, 2, 4, 5}, {3, 6, 7}])
+    )
+    sol = min_cover(inst)
+    assert sol == reference_min_cover(inst) == CoverSolution(finite(2), (0, 1))
+    # one node rules out a 1-cover, one searches through 0, and one takes 1
+    assert min_cover(inst, node_budget=3) == sol
+    with pytest.raises(BudgetExceeded, match="optimum is 2, certificate unfinished"):
+        min_cover(inst, node_budget=2)

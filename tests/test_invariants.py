@@ -305,8 +305,8 @@ POINT_SET_IC_PAIRS = (
 
 
 def test_point_sets_match_the_containment_test(monkeypatch):
-    """Each candidate's points, found through its members, against testing
-    every point for containment."""
+    """Each candidate's point mask, found through its members, against
+    testing every point for containment."""
     calls = 0
     real = invariants._point_sets
 
@@ -315,7 +315,7 @@ def test_point_sets_match_the_containment_test(monkeypatch):
         calls += 1
         got = real(g, universe, candidates)
         want = [
-            frozenset(j for j, pt in enumerate(universe) if c.contains(pt)) for c in candidates
+            sum(1 << j for j, pt in enumerate(universe) if c.contains(pt)) for c in candidates
         ]
         assert got == want
         return got
@@ -537,11 +537,13 @@ def test_bounds_sandwich_examples():
 
 
 def test_bounds_sandwich_honours_node_budget():
-    # IC(C2^2;C3) is infinite without a search; sigma(C2^2) needs 3 nodes
+    # IC(C2^2;C3) is infinite without a search; sigma(C2^2) needs 4 nodes:
+    # one rules out a 2-cover, and the greedy 3-cover is the certificate,
+    # one node per member
     g, h = build(Product((Cyclic(2),) * 2)), build(Cyclic(3))
     with pytest.raises(BudgetExceeded):
-        check_bounds_sandwich(g, h, node_budget=2)
-    assert check_bounds_sandwich(g, h, node_budget=3)
+        check_bounds_sandwich(g, h, node_budget=3)
+    assert check_bounds_sandwich(g, h, node_budget=4)
 
 
 def test_to_zp_formula_examples():

@@ -287,13 +287,16 @@ def test_candidate_maps_that_are_not_homomorphisms_are_dropped():
         assert _hom_from_images(t, t, gens, images) is None
     # its split generators have orders 4, 4, 2, 2: b' -> b'*b is an outer
     # automorphism, which leaves b' -> b'*b^2, one of its powers, untried,
-    # and the in-block maps and b -> b*b' are no homomorphisms
+    # and the in-block maps and b -> b*b' are no homomorphisms; one
+    # conjugation is the outer map's square, and is dropped as such
     b, b1, c, c1 = gens = split_generators(g)
     assert [g.elem_order[x] for x in gens] == [4, 4, 2, 2]
     conjugations = {tuple(t[t[inverse[s]][x]][s] for x in range(g.order)) for s in gens}
     outer = tuple(_hom_from_images(t, t, gens, [b, b1, t[c][b], c1]))
     assert outer not in conjugations
-    assert {tuple(phi) for phi in automorphisms(g)} == conjugations | {outer}
+    square = tuple(outer[x] for x in outer)
+    assert square in conjugations
+    assert {tuple(phi) for phi in automorphisms(g)} == conjugations - {square} | {outer}
     # a map that is a homomorphism but not injective is dropped too
     c4 = build(Cyclic(4))
     assert _hom_from_images(c4.table, c4.table, greedy_generators(c4), [2]) is None
@@ -305,13 +308,15 @@ def test_candidate_maps_that_are_not_homomorphisms_are_dropped():
         (Product((Cyclic(2),) * 5), 2, 6),
         (Product((Product((Cyclic(2),) * 2), Product((Cyclic(4),) * 2))), 6, 18),
         (Product((Cyclic(2), Cyclic(4), Cyclic(8))), 4, 27),
-        (Product((Dihedral(4), Dihedral(4))), 5, 141),
+        (Product((Dihedral(4), Dihedral(4))), 4, 141),
     ],
     ids=["C2^5", "C2^2xC4^2", "C2xC4xC8", "D4xD4"],
 )
 def test_split_generator_maps_merge_orbits(spec, maps, orbits):
     # on greedy generators C2^2 x C4^2 kept one map (149 orbits), C2 x C4 x
-    # C8 none (81) and D4 x D4 only conjugations (214); C2^5 had four maps
+    # C8 none (81) and D4 x D4 only conjugations (214); C2^5 had four maps.
+    # D4 x D4 kept a fifth map, the square of another, until squares of kept
+    # maps were dropped
     g = build(spec)
     assert len(automorphisms(g)) == maps
     assert len(set(all_subgroups(g).orbit.values())) == orbits
@@ -378,6 +383,26 @@ ORBIT_GROUPS = {
     "C2^7": Product((Cyclic(2),) * 7),
     "S6": S6,
 }
+
+
+@pytest.mark.parametrize("spec", ORBIT_GROUPS.values(), ids=ORBIT_GROUPS.keys())
+def test_dropping_squares_leaves_the_lattice(spec, monkeypatch):
+    # a dropped map is a power of a kept one, so the maps generate the same
+    # group and the orbits, and so the whole lattice record, are unchanged
+    g = build(spec, max_order=HARD_MAX_ORDER)
+    lat = all_subgroups(g)
+    monkeypatch.setattr(lattice, "_drop_squares", lambda maps: list(maps.values()))
+    assert all_subgroups.__wrapped__(g) == lat
+
+
+def test_dihedral_groups_keep_no_square():
+    # conjugation by the rotation r is the square of s -> s*r: D48 keeps
+    # s -> s*r and conjugation by s, and was keeping all three
+    g = build(Dihedral(48))
+    maps = automorphisms(g)
+    assert len(maps) == 2
+    squares = {tuple(phi[x] for x in phi) for phi in maps}
+    assert not squares & {tuple(phi) for phi in maps}
 
 
 @pytest.mark.parametrize("spec", ORBIT_GROUPS.values(), ids=ORBIT_GROUPS.keys())
