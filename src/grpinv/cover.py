@@ -1,8 +1,8 @@
 """Exact minimum set cover with deterministic certificates.
 
 `make_instance` keeps the first occurrence of each set that no other set
-strictly contains, by the inclusion-maximal filter `_maximal` that also
-finds the maximal subgroups.
+strictly contains, by the inclusion-maximal filter `_maximal`, which is
+also the tests' reference for the lattice's maximal subgroups.
 
 One kernel, `coverable(uncovered, r, allowed)`, finds a cover of the
 uncovered points by at most r candidates drawn from the bitset `allowed`,
@@ -182,6 +182,15 @@ def _by_count(planes: list[int]):
         pool ^= top
 
 
+def _bitset(indices) -> int:
+    """The bitset of the indices, set byte by byte: OR-ing one bit at a time
+    into an int copies the int each time, which is quadratic in the count."""
+    buf = bytearray(max(indices) // 8 + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverSolution:
     if not inst.feasible:
         return CoverSolution(INFINITE, None)
@@ -205,8 +214,8 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
     if inst.labels is not None:
         members: dict = {}
         for i, label in enumerate(inst.labels):
-            members[label] = members.get(label, 0) | 1 << i
-        label_classes = [(m & -m, m) for m in members.values()]
+            members.setdefault(label, []).append(i)
+        label_classes = [(1 << ids[0], _bitset(ids)) for ids in members.values()]
 
     def coverable(uncovered: int, r: int, allowed: int, classes=None) -> int | None:
         """A bitset of at most r candidates in `allowed` that covers

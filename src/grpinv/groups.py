@@ -180,18 +180,15 @@ def _bits(x: int):
         x ^= low
 
 
-def _maximal(masks, keep=None) -> list[int]:
+def _maximal(masks) -> list[int]:
     """Ascending positions of the first occurrence of each nonzero mask that
-    no kept mask contains; with `keep`, a mask is kept only if keep(its
-    position) is true.
+    no other mask contains.
 
     The inclusion-maximal filter behind a cover instance's sets, and behind
-    `lattice.maximal_filter`, the reference for the lattice's strata and the
-    candidates of IC(G;H), which the lattice's joins decide per orbit.
-    Masks go from the largest popcount down, and each is checked against
-    the kept masks of larger popcount: distinct masks of one popcount never
-    contain each other.  `keep` is asked only of a mask that lies in no
-    kept mask, and a mask it rejects shadows nothing.
+    `lattice.maximal_filter`, the tests' reference for what the lattice
+    decides per orbit.  Masks go from the largest popcount down, and each is
+    checked against the kept masks of larger popcount: distinct masks of one
+    popcount never contain each other.
     """
     first: dict[int, int] = {}
     for i, m in enumerate(masks):
@@ -213,10 +210,8 @@ def _maximal(masks, keep=None) -> list[int]:
             if m & k == m:
                 break
         else:
-            i = first[m]
-            if keep is None or keep(i):
-                kept.append(i)
-                same.append(m)
+            kept.append(first[m])
+            same.append(m)
     kept.sort()
     return kept
 

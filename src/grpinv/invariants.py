@@ -30,6 +30,7 @@ from .groups import (
 from .iso import are_isomorphic, embeds, is_embedding, missing_order, spectrum_dominates
 from .lattice import (
     Subgroup,
+    _maximal_orbits,
     all_proper_subgroups_cyclic,
     all_subgroups,
     as_group,
@@ -134,15 +135,11 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
 
     Fast paths: G embeds in H -> 1; an element order of G missing from H ->
     infinite (and for finite G the converse holds, so the solver only runs
-    on feasible instances).  Candidates are the inclusion-maximal proper
-    subgroups that embed, decided once per orbit of the lattice's
-    automorphisms, which map S isomorphically onto a(S) and keep inclusion.
-    The orbit representatives go from the largest down.  One with a join in
-    an embeddable orbit embeds too, but is no candidate, and needs no
-    search.  Any other is searched; every subgroup above it holds one of its
-    joins, none of which embeds, so if it embeds its orbit is candidates.
-    Only the certificate's members get a witness, each found by the same
-    search on its own table.
+    on feasible instances).  Candidates are the maximal members of the
+    proper subgroups that embed, from `lattice._maximal_orbits`: an
+    automorphism of G maps S isomorphically onto a(S), so one embedding
+    search decides an orbit.  Only the certificate's members get a witness,
+    each found by the same search on its own table.
     """
     w = embeds(g, h)
     if w is not None:
@@ -155,20 +152,12 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     if g.is_cyclic:  # cyclic + dominated spectrum would have embedded
         raise CheckFailed(f"cyclic {g.label} has the spectrum of {h.label} but did not embed")
     lat = all_subgroups(g)
-    embeddable: dict[int, bool] = {}  # orbit representative -> its orbit embeds in H
-    chosen = set()  # the representatives of the candidates' orbits
-    for s in reversed(lat.all):
-        rep = s.mask
-        if lat.orbit[rep] != rep:
-            continue
-        if s.order == g.order or h.order % s.order:
-            embeddable[rep] = False
-        elif any(embeddable[lat.orbit[j]] for j in lat.joins[rep]):
-            embeddable[rep] = True
-        else:
-            embeddable[rep] = embeds(as_group(g, s), h) is not None
-            if embeddable[rep]:
-                chosen.add(rep)
+    candidates = _maximal_orbits(
+        lat.all,
+        lat.orbit,
+        lat.joins,
+        lambda s: s.is_proper and h.order % s.order == 0 and embeds(as_group(g, s), h) is not None,
+    )
 
     def witnessed(s: Subgroup) -> CertEntry:
         w = embeds(as_group(g, s), h)
@@ -176,7 +165,6 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
             raise CheckFailed(f"{g.label}|{s.order}@{s.mask:x} does not embed in {h.label}")
         return CertEntry(s, w)
 
-    candidates = [s for s in lat.all if lat.orbit[s.mask] in chosen]
     return _solve("ic", g, h, lat.maximal_cyclic_subgroups, candidates, witnessed, node_budget)
 
 

@@ -37,14 +37,19 @@ cost.
 
 The lattice records each representative's joins with the atoms.  A
 subgroup T strictly above S holds an atom outside S, so it holds one of
-them; and automorphisms preserve inclusion and cyclicity.  So S's orbit is
-maximal proper when all its joins are G, and maximal cyclic when none of
-them is cyclic, and `ic` decides its candidates one orbit at a time.
+them.  So one walk decides the maximal members of any family of subgroups
+closed under subgroups and automorphisms (`_maximal_orbits`).  It takes
+the representatives from the largest down: one with a join in an admitted
+orbit is in the family but not maximal; any other is asked once, and if
+it is admitted, its whole orbit is maximal.  The strata are the maximal
+proper and the maximal cyclic subgroups, and `ic`'s candidates are the
+maximal proper subgroups that embed in the target.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
@@ -89,12 +94,10 @@ class SubgroupLattice(
     namedtuple("SubgroupLattice", "all maximal_subgroups maximal_cyclic_subgroups orbit joins"),
 ):
     # the first three each a tuple of Subgroups in canonical order: all of
-    # them, the maximal proper ones, and the maximal ones among the cyclic
-    # ones; orbit maps each subgroup's mask to the mask of the subgroup its
-    # automorphism orbit was added with, so a property that automorphisms
-    # preserve (the isomorphism type) is found once per orbit; joins maps
-    # each such representative's mask to a tuple of the distinct masks of
-    # S v <c> for the atoms <c> outside S (none for G); both read-only
+    # them and the two strata (see `_maximal_orbits`); orbit maps each
+    # subgroup's mask to the mask of its orbit's representative, and joins
+    # maps each representative's mask to the distinct masks of S v <c> for
+    # the atoms <c> outside S (none for G); both read-only
     __slots__ = ()
 
 
@@ -153,15 +156,28 @@ def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
     return sorted(by_mask.values(), key=Subgroup.sort_key)
 
 
-def maximal_filter(subgroups, keep=None) -> list[Subgroup]:
-    """The subgroups that lie in no kept one, in the order given; with
-    `keep`, a subgroup is kept only if keep(it) is true.  `keep` is asked
-    only of subgroups inside no kept one, and one it rejects shadows
-    nothing (see `_maximal`).  The reference for the strata and `ic`'s
-    candidates, which the lattice's recorded joins decide per orbit."""
+def maximal_filter(subgroups) -> list[Subgroup]:
+    """The subgroups that lie in no other one, in the order given: the
+    reference, over every subgroup, for `_maximal_orbits`."""
     subgroups = list(subgroups)
-    test = None if keep is None else (lambda i: keep(subgroups[i]))
-    return [subgroups[i] for i in _maximal([s.mask for s in subgroups], test)]
+    return [subgroups[i] for i in _maximal([s.mask for s in subgroups])]
+
+
+def _maximal_orbits(ordered, orbit, joins, admissible) -> list[Subgroup]:
+    """The maximal members, in the canonical order of `ordered`, of the
+    family that `admissible` accepts, which must be closed under subgroups
+    and automorphisms, by one walk over the lattice's `orbit` and `joins`
+    (see the module docstring): at most one call per orbit."""
+    admitted, top = set(), set()  # representatives: of admitted orbits, of maximal ones
+    for rep in sorted(joins, key=lambda m: (m.bit_count(), m), reverse=True):
+        if not admitted.isdisjoint(map(orbit.__getitem__, joins[rep])):
+            admitted.add(rep)
+            continue
+        s = ordered[bisect_left(ordered, (rep.bit_count(), rep), key=Subgroup.sort_key)]
+        if admissible(s):
+            admitted.add(rep)
+            top.add(rep)
+    return [s for s in ordered if orbit[s.mask] in top]
 
 
 def greedy_generators(g: FiniteGroup) -> list[int]:
@@ -299,11 +315,8 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     `_join` closes S v <c> as a union of right cosets of S, returning G as
     soon as the union is too large for a proper subgroup.  Atoms inside a
     join of prime index over S are skipped for S: they would return that
-    join again.  The lattice's `orbit` maps every subgroup to the
-    representative its orbit was added with, and `joins` maps each
-    representative to its joins, which decide the strata one orbit at a
-    time.  Cached by table, so relabelled copies of a group share one
-    lattice.
+    join again.  The recorded joins decide the strata one orbit at a time.
+    Cached by table, so relabelled copies of a group share one lattice.
     """
     table = g.table
     n = g.order
@@ -387,16 +400,11 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
                     fresh.append(known[mask])
                 sjoins.add(known[mask].mask)  # the stored int, not an equal copy
         frontier = fresh
-    # every subgroup strictly above S holds one of S's joins: S's orbit is
-    # maximal proper when they are all G, maximal cyclic when none is cyclic
-    cyclic = {c.mask for c in cyclics}
-    top = {r for r, js in joins.items() if js <= {full_mask}}
-    top_cyclic = {r for r, js in joins.items() if js.isdisjoint(cyclic)}
-    ordered = sorted(known.values(), key=Subgroup.sort_key)
+    ordered = tuple(sorted(known.values(), key=Subgroup.sort_key))
     return SubgroupLattice(
-        tuple(ordered),
-        tuple(s for s in ordered if s.is_proper and representative[s.mask] in top),
-        tuple(s for s in ordered if s.is_cyclic and representative[s.mask] in top_cyclic),
+        ordered,
+        tuple(_maximal_orbits(ordered, representative, joins, lambda s: s.is_proper)),
+        tuple(_maximal_orbits(ordered, representative, joins, lambda s: s.is_cyclic)),
         MappingProxyType(representative),
         MappingProxyType({r: tuple(js) for r, js in joins.items()}),
     )

@@ -315,14 +315,14 @@ def test_extnat_ordering_and_arithmetic():
         ExtNat(0)
 
 
-def reference_maximal(masks, keep):
+def reference_maximal(masks):
     """The inclusion-maximal members, by pairwise comparison, of the first
-    occurrences of the nonzero masks that `keep` accepts."""
+    occurrences of the nonzero masks."""
     first = {}
     for i, m in enumerate(masks):
         if m:
             first.setdefault(m, i)
-    pool = [i for i in first.values() if keep(i)]
+    pool = first.values()
     return sorted(
         i for i in pool if not any(masks[i] & masks[j] == masks[i] != masks[j] for j in pool)
     )
@@ -336,25 +336,4 @@ def test_maximal_matches_the_pairwise_reference():
         if masks:  # with duplicates and zeros
             masks += rng.choices(masks, k=rng.randint(0, 4)) + [0] * rng.randint(0, 2)
             rng.shuffle(masks)
-        rejected = {i for i in range(len(masks)) if rng.random() < 0.3}
-        asked = []
-
-        def keep(i):
-            asked.append(i)
-            return i not in rejected
-
-        kept = _maximal(masks, keep)
-        assert kept == reference_maximal(masks, lambda i: i not in rejected), masks
-        assert _maximal(masks) == reference_maximal(masks, lambda i: True), masks
-        # asked once each, and never of a mask inside a kept one
-        assert len(asked) == len(set(asked))
-        for i in asked:
-            assert not any(masks[i] & masks[k] == masks[i] for k in kept if k != i), masks
-
-
-def test_a_rejected_mask_shadows_nothing():
-    masks = [0b111, 0b011, 0b001, 0b011, 0]
-    assert _maximal(masks) == [0]
-    assert _maximal(masks, lambda i: i != 0) == [1]
-    assert _maximal(masks, lambda i: i not in (0, 1)) == [2]
-    assert _maximal(masks, lambda i: False) == []
+        assert _maximal(masks) == reference_maximal(masks), masks

@@ -378,7 +378,7 @@ def test_ic_candidates_match_the_reference_pass(monkeypatch):
 def test_ic_candidates_match_the_maximal_filter(monkeypatch):
     """The subgroups `ic` hands to the cover, decided once per orbit through
     the recorded joins, against the inclusion-maximal filter over every
-    subgroup with an embedding search as its predicate."""
+    subgroup that embeds."""
     found = []
     real = invariants._solve
 
@@ -397,10 +397,9 @@ def test_ic_candidates_match_the_maximal_filter(monkeypatch):
             continue
         solved += 1
         reference = maximal_filter(
-            all_subgroups(g).all,
-            lambda s: s.is_proper
-            and h.order % s.order == 0
-            and embeds(as_group(g, s), h) is not None,
+            s
+            for s in all_subgroups(g).all
+            if s.is_proper and h.order % s.order == 0 and embeds(as_group(g, s), h) is not None
         )
         assert found.pop() == reference, (g.label, h.label)
     assert solved == 173 + len(POINT_SET_IC_PAIRS)  # the pairs that reach the cover
@@ -487,7 +486,8 @@ RELABEL_IC_TARGETS = tuple(
 @given(st.data())
 def test_ic_of_a_relabelled_table_keeps_its_value_and_certifies(data):
     # relabelling moves the split generators, so the automorphisms, the
-    # orbit representatives and which subgroup an orbit's verdict comes from
+    # orbit representatives and which subgroup an orbit's verdict comes
+    # from, for IC's candidates and for sigma's and sigma_c's strata alike
     g = data.draw(st.sampled_from(RELABEL_GROUPS))
     h = data.draw(st.sampled_from(RELABEL_IC_TARGETS))
     perm = (0, *data.draw(st.permutations(range(1, g.order))))
@@ -498,6 +498,10 @@ def test_ic_of_a_relabelled_table_keeps_its_value_and_certifies(data):
         assert certificate_sound(report)
         if report.value.value > 1:
             assert validate_optimal_ic_certificate(report)
+    for invariant in (sigma, sigma_c):
+        report = invariant(k)
+        assert report.value == invariant(g).value
+        assert certificate_sound(report)
 
 
 def test_optimality_validator_pre():

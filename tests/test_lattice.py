@@ -29,6 +29,7 @@ from grpinv.lattice import (
     Subgroup,
     _hom_from_images,
     _join,
+    _maximal_orbits,
     all_proper_subgroups_cyclic,
     all_subgroups,
     as_group,
@@ -453,6 +454,38 @@ def test_strata_match_the_maximal_filter():
             cyclic = maximal_filter(s for s in lat.all if s.is_cyclic)
             assert lat.maximal_subgroups == tuple(proper), name
             assert lat.maximal_cyclic_subgroups == tuple(cyclic), name
+    assert checked == len(ORBIT_GROUPS) - 3  # all but C2^7, S6 and C2^4 x C4
+
+
+def test_maximal_orbits_asks_each_orbit_once_and_matches_the_filter():
+    # families the code does not use, each closed under subgroups and
+    # automorphisms: order at most k, for every k, and abelian
+    checked = 0
+    for name, spec in ORBIT_GROUPS.items():
+        g = build(spec, max_order=HARD_MAX_ORDER)
+        lat = all_subgroups(g)
+        if len(lat.all) > 400:
+            continue
+        checked += 1
+        by_mask = {s.mask: s for s in lat.all}
+        orders = {s.order for s in lat.all}
+        families = {f"order <= {k}": (lambda s, k=k: s.order <= k) for k in orders}
+        families["abelian"] = lambda s: as_group(g, s).is_abelian
+        for family, admissible in families.items():
+            asked = []
+
+            def ask(s):
+                asked.append(s.mask)
+                return admissible(s)
+
+            got = _maximal_orbits(lat.all, lat.orbit, lat.joins, ask)
+            assert got == maximal_filter(s for s in lat.all if admissible(s)), (name, family)
+            # asked once of each representative with no admissible join, and
+            # of nothing else
+            unshadowed = [
+                r for r in lat.joins if not any(admissible(by_mask[j]) for j in lat.joins[r])
+            ]
+            assert sorted(asked) == sorted(unshadowed), (name, family)
     assert checked == len(ORBIT_GROUPS) - 3  # all but C2^7, S6 and C2^4 x C4
 
 
