@@ -235,36 +235,45 @@ def _sweep(suite: str, cases):
 def _triangle(ctx: SweepContext, bound: int) -> list[CheckResult]:
     """IC(G;K) <= IC(G;H) * IC(H;K) over all ordered corpus triples.
 
-    The table holds each ordered pair's outcome, its IC value or the
-    exception asking `ctx` for it raised, so a triple only compares, as
-    `check_triangle` does.  A triple missing a value reports the first
-    missing one in the checker's order IC(G;K), IC(G;H), IC(H;K), as a skip
-    or a fail, as `_run` would."""
+    The table holds each ordered pair's outcome: its IC value as an int,
+    None when infinite, or the (status, detail) of the exception asking
+    `ctx` for it raised.  So a triple only compares, as `check_triangle`
+    does, and joins a name from a prefix per pair.  A triple missing a value
+    reports the first missing one in the checker's order IC(G;K), IC(G;H),
+    IC(H;K), as a skip or a fail, as `_run` would."""
     groups = [e.group for e in corpus(bound)]
-    table: list[list[ExtNat | Exception]] = []
+    table: list[list[int | None | tuple[str, str]]] = []
     for g in groups:
-        row: list[ExtNat | Exception] = []
+        row: list[int | None | tuple[str, str]] = []
         for h in groups:
             try:
-                row.append(ctx.ic_value(g, h))
-            except (BudgetExceeded, CheckFailed) as exc:
-                row.append(exc)
+                row.append(ctx.ic_value(g, h).value)
+            except BudgetExceeded as exc:
+                row.append(("skip", str(exc)))
+            except CheckFailed as exc:
+                row.append(("fail", str(exc)))
         table.append(row)
 
+    tails = [f"{g.label})" for g in groups]
+    passed, failed = ("pass", ""), ("fail", "")
     clock = time.perf_counter
     results: list[CheckResult] = []
     for a, row_a in zip(groups, table):
         for b, gh, row_b in zip(groups, row_a, table):
-            for c, gk, hk in zip(groups, row_a, row_b):
-                name = f"triangle({a.label};{b.label};{c.label})"
+            prefix = f"triangle({a.label};{b.label};"
+            for tail, gk, hk in zip(tails, row_a, row_b):
                 start = clock()
-                if isinstance(gk, ExtNat) and isinstance(gh, ExtNat) and isinstance(hk, ExtNat):
-                    status, detail = ("pass" if gk <= gh * hk else "fail"), ""
+                if type(gk) is tuple:
+                    outcome = gk
+                elif type(gh) is tuple:
+                    outcome = gh
+                elif type(hk) is tuple:
+                    outcome = hk
+                elif gh is None or hk is None or gk is not None and gk <= gh * hk:
+                    outcome = passed
                 else:
-                    missing = next(x for x in (gk, gh, hk) if isinstance(x, Exception))
-                    status = "skip" if isinstance(missing, BudgetExceeded) else "fail"
-                    detail = str(missing)
-                results.append(CheckResult("triangle", name, status, detail, clock() - start))
+                    outcome = failed
+                results.append(CheckResult("triangle", prefix + tail, *outcome, clock() - start))
     return results
 
 

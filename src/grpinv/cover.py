@@ -44,7 +44,26 @@ out of the search.  That is sound: a symmetry maps any r-cover through a
 class member to an r-cover through the class's lowest member, once each
 image is replaced by a candidate that contains it; so, by induction over
 the classes that failed, no member of a failed class lies in any r-cover.
-The lexicographic pass needs no symmetry, and branches as before.
+
+The instance may also carry such symmetries as point permutations, and the
+lexicographic pass prunes by those that fix its accepted prefix P: when the
+probe of candidate c fails, so does that of every image of c under them.
+Every candidate between P's last member and c has failed, or was skipped
+by the `need` filter or as dead, and the same held at each earlier
+position.  So no optimal cover contains P and c: the lowest member of such
+a cover outside P would have succeeded at its own probe.  A symmetry s
+fixing each member of P maps an optimal cover through P and s(c) back to
+one through P and c, so s(c) is dead at this position and at every later
+one: it is skipped without a node, and left out of the later probes.  The
+images come from a breadth-first walk over the orbit of the tuple
+(P..., c) under the group the symmetries generate: each image that starts
+with P ends with a dead candidate.  Any part of the orbit is sound, so the
+walk stops after as many tuples as the failed probe spent nodes, and runs
+only after a probe that spent more than one: the pruning never costs more
+than the search it follows.  On IC(C2^2 x C4^2; C4^2) the pass took 1,389
+of 1,558 nodes, five probes of about 240 nodes each failing on images of
+one another under automorphisms that fix the first member; the rule
+brings the whole search down to 490 nodes.
 """
 
 from __future__ import annotations
@@ -58,13 +77,19 @@ DEFAULT_NODE_BUDGET = 10**8
 
 
 class CoverInstance(
-    Record, namedtuple("CoverInstance", "universe_size masks kept feasible labels", defaults=(None,))
+    Record,
+    namedtuple(
+        "CoverInstance",
+        "universe_size masks kept feasible labels symmetries",
+        defaults=(None, None),
+    ),
 ):
     """`masks` holds the candidate sets as bitmasks of points, duplicate-free
     with dominated (subset) sets removed, preserving first occurrence;
     `kept` maps back to caller positions.  `labels`, when not None, names
     each kept candidate's class: candidates of one class are images of each
-    other under symmetries of the instance (see `make_instance`)."""
+    other under symmetries of the instance.  `symmetries`, when not None,
+    holds such symmetries as tuples of point images (see `make_instance`)."""
 
     __slots__ = ()
 
@@ -78,7 +103,7 @@ def _mask(points) -> int:
     return mask
 
 
-def make_instance(universe_size: int, point_masks, labels=None) -> CoverInstance:
+def make_instance(universe_size: int, point_masks, labels=None, symmetries=None) -> CoverInstance:
     """The cover instance of the candidates given as bitmasks of points
     (bit p for point p).  An iterable of points is also taken for a
     candidate, and folded into its mask.
@@ -89,6 +114,11 @@ def make_instance(universe_size: int, point_masks, labels=None) -> CoverInstance
     of some candidate.  The orbits of Aut(G) on the subgroups of G are such
     classes.  `min_cover` then branches over one candidate per class at the
     root of its value searches.
+
+    `symmetries`, when given, holds symmetries as tuples of point images,
+    p -> perm[p]; the automorphisms of G are such maps.  `min_cover` prunes
+    its certificate pass with them, and raises `CheckFailed` if one is no
+    permutation or maps a kept candidate's set onto no kept set.
     """
     if universe_size < 1:
         raise ValueError("universe must be nonempty")
@@ -110,6 +140,7 @@ def make_instance(universe_size: int, point_masks, labels=None) -> CoverInstance
         kept=tuple(kept),
         feasible=union == full,
         labels=None if labels is None else tuple(labels[j] for j in kept),
+        symmetries=None if symmetries is None else tuple(map(tuple, symmetries)),
     )
 
 
@@ -189,6 +220,47 @@ def _bitset(indices) -> int:
     for i in indices:
         buf[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(buf, "little")
+
+
+class _Symmetries:
+    """An instance's symmetries acting on its candidate indices, each image
+    looked up once, when a walk first needs it."""
+
+    def __init__(self, inst: CoverInstance):
+        points = set(range(inst.universe_size))
+        if any(len(perm) != len(points) or set(perm) != points for perm in inst.symmetries):
+            raise CheckFailed("a symmetry is not a permutation of the points")
+        self.masks = inst.masks
+        self.index = {m: i for i, m in enumerate(inst.masks)}
+        self.point_bits = [[1 << q for q in perm] for perm in inst.symmetries]
+        self.moved: list[dict[int, int]] = [{} for _ in inst.symmetries]
+
+    def image(self, k: int, i: int) -> int:
+        """The index of candidate i's image under symmetry k."""
+        j = self.moved[k].get(i)
+        if j is None:
+            bit = self.point_bits[k]
+            j = self.index.get(sum(map(bit.__getitem__, _bits(self.masks[i]))))
+            if j is None:
+                raise CheckFailed(f"a symmetry maps candidate {i} onto no candidate")
+            self.moved[k][i] = j
+        return j
+
+    def orbit(self, start: tuple, limit: int) -> list[tuple]:
+        """The images of a tuple of candidates under the group the
+        symmetries generate, the tuple first, in breadth-first order; the
+        walk stops at `limit` tuples."""
+        tuples = [start]
+        seen = {start}
+        for t in tuples:
+            for k in range(len(self.moved)):
+                if len(tuples) >= limit:
+                    return tuples
+                u = tuple(self.image(k, i) for i in t)
+                if u not in seen:
+                    seen.add(u)
+                    tuples.append(u)
+        return tuples
 
 
 def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverSolution:
@@ -315,9 +387,14 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
     # `witness` is an optimal cover of `uncovered` by later candidates, so
     # its lowest member fits without a search; taking it spends a node, as
     # a search would, so a certificate costs at least its size.
+    # A probe through c that fails after more than one node also kills the
+    # images of c under the symmetries that fix the certificate so far: they
+    # are skipped without a node, and left out of every later probe.
+    orbits = None  # the instance's `_Symmetries`, set up at the first walk
     certificate: list[int] = []
     uncovered = full
     c = -1
+    dead = 0  # candidates in no optimal cover through the certificate so far
     try:
         while uncovered:
             left = optimum - len(certificate) - 1
@@ -329,11 +406,19 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
                     witness ^= low
                     break
                 m = masks[c]
-                if (m & uncovered).bit_count() >= need:
-                    found = coverable(uncovered & ~m, left, everything & ~(2 * low - 1))
+                if not dead & low and (m & uncovered).bit_count() >= need:
+                    before = budget.left
+                    found = coverable(uncovered & ~m, left, everything & ~(2 * low - 1 | dead))
                     if found is not None:
                         witness = found
                         break
+                    spent = before - budget.left
+                    if spent > 1 and inst.symmetries:
+                        orbits = orbits or _Symmetries(inst)
+                        prefix = tuple(certificate)
+                        for t in orbits.orbit((*prefix, c), spent):
+                            if t[:-1] == prefix:
+                                dead |= 1 << t[-1]
             else:
                 raise CheckFailed(
                     f"no cover of the optimal size {optimum} in the lexicographic pass"

@@ -68,31 +68,57 @@ class InvariantReport(
         return (self.group.label, self.target.label)
 
 
-def _point_sets(g: FiniteGroup, universe, candidates) -> list[int]:
-    """For each candidate, the bitmask of the universe points it contains.
+@lru_cache(maxsize=CACHE_SIZE)
+def _points(g: FiniteGroup) -> tuple[dict[int, int], int, tuple[tuple[int, ...], ...]]:
+    """The cover's points, the maximal cyclic subgroups of G: the bit of
+    each point keyed by one generator of it, the mask of those generators,
+    and each of the lattice's automorphisms as the permutation it induces
+    on the points.  An automorphism maps a generator of <x> to a generator
+    of the image point, so each point costs one lookup per map.  Keyed by
+    table, like the lattice, so the sigma, sigma_c and IC instances of a
+    group share them; the dict is not to be changed."""
+    lat, order = all_subgroups(g), g.elem_order
+    point = {}  # each generator of a point -> the point's index
+    first = []  # one generator per point
+    for j, pt in enumerate(lat.maximal_cyclic_subgroups):
+        gens = [x for x in _bits(pt.mask) if order[x] == pt.order]
+        for x in gens:
+            point[x] = j
+        first.append(gens[0])
+    return (
+        {x: 1 << j for j, x in enumerate(first)},
+        sum(1 << x for x in first),
+        tuple(
+            tuple(map(point.__getitem__, map(phi.__getitem__, first)))
+            for phi in lat.automorphisms
+        ),
+    )
+
+
+def _point_sets(g: FiniteGroup, candidates) -> list[int]:
+    """For each candidate, the bitmask of the points it contains.
 
     A point is a cyclic subgroup <x>, and a subgroup contains <x> exactly
     when it holds x, so each candidate's points are read off the bits of its
     mask ANDed with the mask of one generator per point.
     """
-    point = {}  # generator -> bit of its point
-    generators = 0
-    for j, pt in enumerate(universe):
-        x = next(x for x in _bits(pt.mask) if g.elem_order[x] == pt.order)
-        point[x] = 1 << j
-        generators |= 1 << x
-    return [sum(map(point.__getitem__, _bits(c.mask & generators))) for c in candidates]
+    bit, generators, _ = _points(g)
+    return [sum(map(bit.__getitem__, _bits(c.mask & generators))) for c in candidates]
 
 
-def _solve(kind, g, target, universe, candidates, entry, node_budget):
-    """Least cover of the universe by the candidates; `entry` makes the
+def _solve(kind, g, target, candidates, entry, node_budget):
+    """Least cover of the points by the candidates; `entry` makes the
     CertEntry of a candidate, and is called for the certificate's members
-    only.  The candidates are labelled by their automorphism orbits, which
-    permute the points, so the cover search branches over one candidate per
-    orbit at the root of its value searches."""
-    orbit = all_subgroups(g).orbit
+    only.  The automorphisms of G permute the points and the candidates, so
+    the candidates are labelled by their orbits, over which the value
+    searches branch at their root, and the maps go along as the symmetries
+    that prune the certificate pass."""
+    lat = all_subgroups(g)
     inst = make_instance(
-        len(universe), _point_sets(g, universe, candidates), [orbit[c.mask] for c in candidates]
+        len(lat.maximal_cyclic_subgroups),
+        _point_sets(g, candidates),
+        [lat.orbit[c.mask] for c in candidates],
+        _points(g)[2],
     )
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:
@@ -111,22 +137,15 @@ def sigma(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantRe
     """
     if g.is_cyclic:
         return InvariantReport("sigma", g, None, INFINITE, None, "G_cyclic")
-    lat = all_subgroups(g)
-    return _solve(
-        "sigma", g, None, lat.maximal_cyclic_subgroups, lat.maximal_subgroups, CertEntry,
-        node_budget,
-    )
+    return _solve("sigma", g, None, all_subgroups(g).maximal_subgroups, CertEntry, node_budget)
 
 
 def sigma_c(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Cyclic covering number: least cover of G by proper cyclic subgroups."""
     if g.is_cyclic:
         return InvariantReport("sigma_c", g, None, INFINITE, None, "G_cyclic")
-    lat = all_subgroups(g)
-    return _solve(
-        "sigma_c", g, None, lat.maximal_cyclic_subgroups, lat.maximal_cyclic_subgroups, CertEntry,
-        node_budget,
-    )
+    candidates = all_subgroups(g).maximal_cyclic_subgroups
+    return _solve("sigma_c", g, None, candidates, CertEntry, node_budget)
 
 
 def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
@@ -165,7 +184,7 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
             raise CheckFailed(f"{g.label}|{s.order}@{s.mask:x} does not embed in {h.label}")
         return CertEntry(s, w)
 
-    return _solve("ic", g, h, lat.maximal_cyclic_subgroups, candidates, witnessed, node_budget)
+    return _solve("ic", g, h, candidates, witnessed, node_budget)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

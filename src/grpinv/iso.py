@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import CheckFailed
 from .groups import CACHE_SIZE, FiniteGroup
@@ -112,12 +113,13 @@ def is_embedding(k: FiniteGroup, h: FiniteGroup, phi: EmbeddingWitness) -> bool:
         return False
     if any(not 0 <= x < h.order for x in phi):
         return False
-    for a in range(k.order):
-        if h.elem_order[phi[a]] != k.elem_order[a]:
+    if tuple(map(h.elem_order.__getitem__, phi)) != tuple(k.elem_order):
+        return False
+    # phi(a*b) == phi(a)*phi(b) for every b, one row of K at a time
+    image = itemgetter(*phi)
+    for a, row in enumerate(k.table):
+        if itemgetter(*row)(phi) != image(h.table[phi[a]]):
             return False
-        for b in range(k.order):
-            if phi[k.table[a][b]] != h.table[phi[a]][phi[b]]:
-                return False
     return True
 
 

@@ -91,13 +91,18 @@ def make_subgroup(g: FiniteGroup, members) -> Subgroup:
 
 class SubgroupLattice(
     Record,
-    namedtuple("SubgroupLattice", "all maximal_subgroups maximal_cyclic_subgroups orbit joins"),
+    namedtuple(
+        "SubgroupLattice",
+        "all maximal_subgroups maximal_cyclic_subgroups orbit joins automorphisms",
+    ),
 ):
     # the first three each a tuple of Subgroups in canonical order: all of
     # them and the two strata (see `_maximal_orbits`); orbit maps each
     # subgroup's mask to the mask of its orbit's representative, and joins
     # maps each representative's mask to the distinct masks of S v <c> for
-    # the atoms <c> outside S (none for G); both read-only
+    # the atoms <c> outside S (none for G); both read-only; automorphisms
+    # holds the maps of `automorphisms(G)` whose group the orbits are of,
+    # each a tuple of the images of 0..|G|-1
     __slots__ = ()
 
 
@@ -335,7 +340,8 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
         if n % d == 0
     }
     # each automorphism, with the bit of each element's image
-    autos = [(phi, [1 << x for x in phi]) for phi in automorphisms(g)]
+    maps = tuple(map(tuple, automorphisms(g)))
+    autos = [(phi, [1 << x for x in phi]) for phi in maps]
 
     def orbit(mask, room=math.inf):
         """The masks of the images of a subgroup under the group that
@@ -407,6 +413,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
         tuple(_maximal_orbits(ordered, representative, joins, lambda s: s.is_cyclic)),
         MappingProxyType(representative),
         MappingProxyType({r: tuple(js) for r, js in joins.items()}),
+        maps,
     )
 
 

@@ -401,7 +401,7 @@ def test_verify_budget_bounds_every_search(capsys):
         capsys, "verify", "--suite", "bounds,tozp", "--max-order", "4", "--budget", "1"
     )
     assert code == 2
-    # sigma(C2^2) needs 3 nodes, so the sandwich cannot finish
+    # sigma(C2^2) needs 4 nodes, so the sandwich cannot finish
     assert "SKIP bounds(C2^2;C3)" in out
     assert "SKIP tozp(C2^2;p=2)" in out
     assert "error:" not in out + err

@@ -310,10 +310,11 @@ def test_point_sets_match_the_containment_test(monkeypatch):
     calls = 0
     real = invariants._point_sets
 
-    def checked(g, universe, candidates):
+    def checked(g, candidates):
         nonlocal calls
         calls += 1
-        got = real(g, universe, candidates)
+        got = real(g, candidates)
+        universe = all_subgroups(g).maximal_cyclic_subgroups
         want = [
             sum(1 << j for j, pt in enumerate(universe) if c.contains(pt)) for c in candidates
         ]
@@ -360,9 +361,9 @@ def test_ic_candidates_match_the_reference_pass(monkeypatch):
     found = []
     real = invariants._solve
 
-    def capture(kind, g, target, universe, candidates, entry, node_budget):
+    def capture(kind, g, target, candidates, entry, node_budget):
         found.append(candidates)
-        return real(kind, g, target, universe, candidates, entry, node_budget)
+        return real(kind, g, target, candidates, entry, node_budget)
 
     monkeypatch.setattr(invariants, "_solve", capture)
     for gspec, hspec in POINT_SET_IC_PAIRS:
@@ -382,9 +383,9 @@ def test_ic_candidates_match_the_maximal_filter(monkeypatch):
     found = []
     real = invariants._solve
 
-    def capture(kind, g, target, universe, candidates, entry, node_budget):
+    def capture(kind, g, target, candidates, entry, node_budget):
         found.append(candidates)
-        return real(kind, g, target, universe, candidates, entry, node_budget)
+        return real(kind, g, target, candidates, entry, node_budget)
 
     monkeypatch.setattr(invariants, "_solve", capture)
     groups = [e.group for e in corpus(16)]
