@@ -289,7 +289,7 @@ def _cmd_embeds(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    names = [n.strip() for n in args.suite.split(",")] if args.suite else None
+    names = list(dict.fromkeys(n.strip() for n in args.suite.split(","))) if args.suite else None
     if names:
         for n in names:
             if n not in SUITE_NAMES:

@@ -551,7 +551,8 @@ def run_suites(
     max_order: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> VerifyReport:
-    names = list(names) if names else list(SUITE_NAMES)
+    # a repeated name runs once, where it first appears
+    names = list(dict.fromkeys(names)) if names else list(SUITE_NAMES)
     for n in names:
         if n not in SUITES:
             raise ValueError(f"unknown suite {n!r} (choose from {', '.join(SUITE_NAMES)})")

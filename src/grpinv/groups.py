@@ -471,32 +471,32 @@ def _cyclic_table(n: int) -> list[list[int]]:
 
 
 def _dihedral_table(n: int) -> list[list[int]]:
-    # elements r^i a^s indexed s*n + i; a r a = r^-1
-    size = 2 * n
-    table = [[0] * size for _ in range(size)]
-    for s in range(2):
-        for i in range(n):
-            for t in range(2):
-                for j in range(n):
-                    i2 = (i + (j if s == 0 else -j)) % n
-                    table[s * n + i][t * n + j] = ((s + t) % 2) * n + i2
+    # elements r^i a^s indexed s*n + i; a r a = r^-1, so r^i a^s * r^j a^t
+    # is r^(i+j) a^t for s = 0 and r^(i-j) a^(1-t) for s = 1
+    rot = list(range(n))
+    table = []
+    for i in rot:
+        up = rot[i:] + rot[:i]
+        table.append(up + [x + n for x in up])
+    for i in rot:
+        down = rot[i::-1] + rot[:i:-1]
+        table.append([x + n for x in down] + down)
     return table
 
 
 def _quaternion_table(m: int) -> list[list[int]]:
-    # elements x^i y^s indexed s*h + i, h = m/2; y^2 = x^(h/2), y x y^-1 = x^-1
+    # elements x^i y^s indexed s*h + i, h = m/2; y^2 = x^(h/2), y x y^-1 = x^-1,
+    # so x^i y^s * x^j y^t is x^(i+j) y^t for s = 0, and for s = 1 it is
+    # x^(i-j) y for t = 0 and x^(i-j+h/2) for t = 1
     h = m // 2
-    table = [[0] * m for _ in range(m)]
-    for s in range(2):
-        for i in range(h):
-            for t in range(2):
-                for j in range(h):
-                    i2 = i + (j if s == 0 else -j)
-                    s2 = s + t
-                    if s2 == 2:
-                        i2 += h // 2
-                        s2 = 0
-                    table[s * h + i][t * h + j] = s2 * h + (i2 % h)
+    rot = list(range(h))
+    table = []
+    for i in rot:
+        up = rot[i:] + rot[:i]
+        table.append(up + [x + h for x in up])
+    for i in rot:
+        down = rot[i::-1] + rot[:i:-1]
+        table.append([x + h for x in down] + [(x + h // 2) % h for x in down])
     return table
 
 
@@ -509,14 +509,12 @@ def build_semidirect_pq(q: int, p: int) -> FiniteGroup:
     """
     validate_spec(SemidirectPQ(q, p))
     r = next(r for r in range(2, q) if pow(r, p, q) == 1)
-    size = p * q
-    table = [[0] * size for _ in range(size)]
+    table = []
     for i in range(q):
         for j in range(p):
             rj = pow(r, j, q)
-            for i2 in range(q):
-                for j2 in range(p):
-                    table[i * p + j][i2 * p + j2] = ((i + rj * i2) % q) * p + (j + j2) % p
+            tail = [(j + j2) % p for j2 in range(p)]
+            table.append([(i + rj * i2) % q * p + k for i2 in range(q) for k in tail])
     return _finalize(f"SD({q},{p})", table)
 
 

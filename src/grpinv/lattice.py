@@ -18,7 +18,16 @@ doubles the order.  A join stops as soon as the union passes the largest
 proper divisor of |G| that is a multiple of |S|: by Lagrange only G is that
 large.  When [S v <c> : S] is prime, no subgroup lies strictly between S
 and J = S v <c>, so every atom inside J joins S to J again; the lattice
-skips those joins.
+skips those joins.  It also joins S once per class of atoms under
+conjugation by S: for t in S, t*c*t^-1 lies in S v <c> and c in
+S v <t*c*t^-1>, so the two joins are equal.  After a join with <c>, a
+breadth-first walk conjugates c by the generators of S, mapping each image
+to its atom, and the atoms it reaches are skipped.  Only atoms that are not
+normal in G have classes of more than one atom, so the walk starts from
+those alone, and on abelian G, decided from the split generators commuting
+pairwise, it is never set up.  S5 makes 317 joins instead of 868, and S6
+3,700 instead of 17,670.  A skipped atom only repeats a join found before
+it, so the lattice, its records and their order are as without the rule.
 
 The lattice is closed under every automorphism a of G, and automorphisms
 commute with joins: a(S) v <c> = a(S v <a^-1(c)>).  So only one subgroup
@@ -52,6 +61,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 from types import MappingProxyType
 
 from .errors import BudgetExceeded
@@ -245,10 +255,17 @@ def split_generators(g: FiniteGroup) -> list[int]:
     return gens if len(members) == n else greedy_generators(g)
 
 
-def automorphisms(g: FiniteGroup) -> list[list[int]]:
+def _commute(table, elems) -> bool:
+    """Whether the elements commute pairwise; on generators of G, whether G
+    is abelian."""
+    return all(table[a][b] == table[b][a] for a, b in combinations(elems, 2))
+
+
+def automorphisms(g: FiniteGroup, gens: list[int]) -> list[list[int]]:
     """A few non-identity automorphisms of G, each as the list of images of
     0..|G|-1: those among a handful of candidate maps on the split
-    generators (see `split_generators`) that `_hom_from_images` confirms.
+    generators `gens` (`split_generators(g)`) that `_hom_from_images`
+    confirms.
 
     The generators fall into blocks of equal order.  The candidates are
     conjugation by each generator (the identity when it is central); in
@@ -262,7 +279,6 @@ def automorphisms(g: FiniteGroup) -> list[list[int]]:
     transvection generate GL(n, 2).
     """
     table, inverse, order = g.table, g.inverse, g.elem_order
-    gens = split_generators(g)
     maps = {}
 
     def keep(images) -> bool:
@@ -320,7 +336,9 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     `_join` closes S v <c> as a union of right cosets of S, returning G as
     soon as the union is too large for a proper subgroup.  Atoms inside a
     join of prime index over S are skipped for S: they would return that
-    join again.  The recorded joins decide the strata one orbit at a time.
+    join again.  So are the conjugates t*c*t^-1, for t in S, of an atom <c>
+    already joined, found by a walk over the generators of S: they give
+    S v <c> again.  The recorded joins decide the strata one orbit at a time.
     Cached by table, so relabelled copies of a group share one lattice.
     """
     table = g.table
@@ -339,8 +357,9 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
         for d in range(1, n)
         if n % d == 0
     }
+    split, inverse = split_generators(g), g.inverse
     # each automorphism, with the bit of each element's image
-    maps = tuple(map(tuple, automorphisms(g)))
+    maps = tuple(map(tuple, automorphisms(g, split)))
     autos = [(phi, [1 << x for x in phi]) for phi in maps]
 
     def orbit(mask, room=math.inf):
@@ -378,6 +397,25 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     gens[1] = []
     elems: dict[int, list[int]] = {c.mask: list(_bits(c.mask)) for c in frontier}
     joins: dict[int, set[int]] = {}  # representative's mask -> the masks of its joins
+    # the generators of the atoms not normal in G: only their classes under
+    # conjugation by a subgroup hold more than one atom, and abelian G has
+    # none; and, where there are some, each element's atom by its generator
+    moving = 0
+    if not _commute(table, split):
+        for b in split:
+            row, b_inv = table[b], inverse[b]
+            for cmask, c in atoms:
+                if not cmask >> table[row[c]][b_inv] & 1:
+                    moving |= 1 << c
+    if moving:
+        order = g.elem_order
+        atom_of = [0] * n
+        for _, c in atoms:
+            x = c
+            while x:
+                if order[x] == order[c]:
+                    atom_of[x] = c
+                x = table[x][c]
     while frontier:
         fresh: list[Subgroup] = []
         for s in frontier:
@@ -387,13 +425,25 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
             if smask == full_mask:
                 continue
             sgens = gens[smask]
-            settled = 0  # union of the joins found so far of prime index over S
+            # the generators of the atoms whose join is found: those inside a
+            # join of prime index over S, and the classes of the atoms joined
+            settled = 0
             for cmask, c in atoms:
                 if cmask & ~smask == 0 or settled >> c & 1:
                     continue
                 members, mask, jgens = _join(table, smembers, smask, sgens, c, caps[s.order])
                 if _is_prime(len(members) // s.order):
                     settled |= mask
+                elif moving >> c & 1:
+                    # S v <t c t^-1> = S v <c> for t in S: settle c's class,
+                    # which a join of prime index holds already
+                    queue = [c]
+                    for x in queue:
+                        for t in sgens:
+                            y = atom_of[table[table[t][x]][inverse[t]]]
+                            if not settled >> y & 1:
+                                settled |= 1 << y
+                                queue.append(y)
                 if mask not in known:
                     # every cyclic subgroup is known from the start, and the
                     # known subgroups are whole orbits, so the orbit of a new

@@ -345,6 +345,16 @@ def test_verify_examples_suite(capsys):
     assert "0 unsound" in out
 
 
+def test_verify_runs_a_repeated_suite_once(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "examples,examples")
+    assert code == 0
+    assert "suite examples: 38 checks (38 pass)" in out
+    code, out, _ = run(capsys, "verify", "--suite", "examples,examples", "--json")
+    doc = json.loads(out)
+    assert doc["operands"] == ["examples"]
+    assert doc["suites"]["examples"]["checks"] == 38
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "tozp", "--max-order", "16", "--json")
     assert code == 0

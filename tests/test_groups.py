@@ -82,6 +82,66 @@ def test_semidirect_examples():
     assert not f21.is_abelian
 
 
+def reference_dihedral_table(n):
+    """The table of D_n entry by entry: r^i a^s indexed s*n + i."""
+    size = 2 * n
+    table = [[0] * size for _ in range(size)]
+    for s in range(2):
+        for i in range(n):
+            for t in range(2):
+                for j in range(n):
+                    i2 = (i + (j if s == 0 else -j)) % n
+                    table[s * n + i][t * n + j] = ((s + t) % 2) * n + i2
+    return table
+
+
+def reference_quaternion_table(m):
+    """The table of Q_m entry by entry: x^i y^s indexed s*(m/2) + i."""
+    h = m // 2
+    table = [[0] * m for _ in range(m)]
+    for s in range(2):
+        for i in range(h):
+            for t in range(2):
+                for j in range(h):
+                    i2 = i + (j if s == 0 else -j)
+                    s2 = s + t
+                    if s2 == 2:
+                        i2 += h // 2
+                        s2 = 0
+                    table[s * h + i][t * h + j] = s2 * h + (i2 % h)
+    return table
+
+
+def reference_semidirect_table(q, p):
+    """The table of C_q x| C_p entry by entry: (i, j) indexed i*p + j."""
+    r = next(r for r in range(2, q) if pow(r, p, q) == 1)
+    table = [[0] * (p * q) for _ in range(p * q)]
+    for i in range(q):
+        for j in range(p):
+            rj = pow(r, j, q)
+            for i2 in range(q):
+                for j2 in range(p):
+                    table[i * p + j][i2 * p + j2] = ((i + rj * i2) % q) * p + (j + j2) % p
+    return table
+
+
+def test_row_wise_tables_match_the_entry_loops():
+    for n in range(3, 65):
+        assert groups._dihedral_table(n) == reference_dihedral_table(n)
+    for m in (8, 16, 32, 64):
+        assert groups._quaternion_table(m) == reference_quaternion_table(m)
+    pairs = [
+        (q, p)
+        for q in range(3, 64)
+        for p in range(2, q)
+        if p * q <= 64 and groups._is_prime(q) and groups._is_prime(p) and (q - 1) % p == 0
+    ]
+    assert len(pairs) == 14
+    for q, p in pairs:
+        expected = tuple(map(tuple, reference_semidirect_table(q, p)))
+        assert build_semidirect_pq(q, p).table == expected
+
+
 def test_semidirect_rejects_bad_parameters():
     with pytest.raises(InvalidSpec):
         build_semidirect_pq(5, 3)  # 3 does not divide 4

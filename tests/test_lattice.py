@@ -173,10 +173,11 @@ def test_elementary_abelian_subgroup_counts(p, n, count):
 
 
 def reference_all_subgroups(g):
-    """The join loop without the prime-index skip, the automorphism orbits or
-    the early exit of `_join`: every subgroup is joined with every cyclic
-    atom it does not contain, and each join is closed in full.  Returns the
-    three strata; the reference records no orbits."""
+    """The join loop without the skips by prime index and by conjugate
+    atoms, the automorphism orbits or the early exit of `_join`: every
+    subgroup is joined with every cyclic atom it does not contain, and each
+    join is closed in full.  Returns the three strata, and the masks of each
+    subgroup's joins by its mask; the reference records no orbits."""
     cyclics = cyclic_subgroups(g)
     atoms = [
         (c.mask, next(a for a in c.members if g.elem_order[a] == c.order))
@@ -186,14 +187,17 @@ def reference_all_subgroups(g):
     known = {c.mask: c for c in cyclics}
     gens = {mask: [a] for mask, a in atoms}
     gens[1] = []
+    joins = {}
     frontier = list(cyclics)
     while frontier:
         fresh = []
         for s in frontier:
+            joins[s.mask] = set()
             for cmask, c in atoms:
                 if cmask & ~s.mask == 0:
                     continue
                 members, mask, jgens = _join(g.table, s.members, s.mask, gens[s.mask], c)
+                joins[s.mask].add(mask)
                 if mask not in known:
                     known[mask] = make_subgroup(g, members)
                     gens[mask] = jgens
@@ -205,6 +209,7 @@ def reference_all_subgroups(g):
         tuple(ordered),
         tuple(maximal_filter(proper)),
         tuple(maximal_filter([s for s in ordered if s.is_cyclic])),
+        joins,
     )
 
 
@@ -244,7 +249,32 @@ def reference_all_subgroups(g):
 )
 def test_prime_index_skip_matches_unskipped_joins(spec):
     g = build(spec)
-    assert all_subgroups(g)[:3] == reference_all_subgroups(g)
+    lat = all_subgroups(g)
+    *strata, joins = reference_all_subgroups(g)
+    assert lat[:3] == tuple(strata)
+    # the skipped atoms give joins found already: each representative
+    # records the distinct joins with every atom outside it
+    for rep, found in lat.joins.items():
+        assert len(found) == len(joins[rep])
+        assert set(found) == joins[rep]
+
+
+@pytest.mark.parametrize("spec, calls", [(S5, 317), (S6, 3700)], ids=["S5", "S6"])
+def test_conjugate_atoms_are_joined_once(spec, calls, monkeypatch):
+    # S v <t c t^-1> = S v <c> for t in S, so a representative joins one atom
+    # of each class under conjugation by S: 868 joins for S5 and 17,670 for
+    # S6 without that rule; the count includes those of `split_generators`
+    g = build(spec, max_order=HARD_MAX_ORDER)
+    made = itertools.count()
+
+    def counting(*args):
+        next(made)
+        return _join(*args)
+
+    monkeypatch.setattr(lattice, "_join", counting)
+    lat = all_subgroups.__wrapped__(g)
+    assert next(made) == calls
+    assert lat == all_subgroups(g)
 
 
 @pytest.mark.parametrize(
@@ -264,7 +294,7 @@ def test_prime_index_skip_matches_unskipped_joins(spec):
 )
 def test_automorphisms_pass_the_embedding_check(spec):
     g = build(spec)
-    maps = automorphisms(g)
+    maps = automorphisms(g, split_generators(g))
     assert maps
     assert len({tuple(phi) for phi in maps}) == len(maps)
     for phi in maps:
@@ -297,7 +327,7 @@ def test_candidate_maps_that_are_not_homomorphisms_are_dropped():
     assert outer not in conjugations
     square = tuple(outer[x] for x in outer)
     assert square in conjugations
-    assert {tuple(phi) for phi in automorphisms(g)} == conjugations - {square} | {outer}
+    assert {tuple(phi) for phi in automorphisms(g, gens)} == conjugations - {square} | {outer}
     # a map that is a homomorphism but not injective is dropped too
     c4 = build(Cyclic(4))
     assert _hom_from_images(c4.table, c4.table, greedy_generators(c4), [2]) is None
@@ -319,7 +349,7 @@ def test_split_generator_maps_merge_orbits(spec, maps, orbits):
     # D4 x D4 kept a fifth map, the square of another, until squares of kept
     # maps were dropped
     g = build(spec)
-    assert len(automorphisms(g)) == maps
+    assert len(automorphisms(g, split_generators(g))) == maps
     assert len(set(all_subgroups(g).orbit.values())) == orbits
 
 
@@ -338,7 +368,7 @@ def test_automorphisms_of_c2_5_leave_one_orbit_per_order():
     # the maps generate GL(5, 2), which is transitive on the subspaces of
     # each dimension
     g = build(Product((Cyclic(2),) * 5))
-    maps = automorphisms(g)
+    maps = automorphisms(g, split_generators(g))
     seen: set[int] = set()
     orbits = []
     for s in all_subgroups(g).all:
@@ -403,7 +433,7 @@ def test_dihedral_groups_keep_no_square():
     # conjugation by the rotation r is the square of s -> s*r: D48 keeps
     # s -> s*r and conjugation by s, and was keeping all three
     g = build(Dihedral(48))
-    maps = automorphisms(g)
+    maps = automorphisms(g, split_generators(g))
     assert len(maps) == 2
     squares = {tuple(phi[x] for x in phi) for phi in maps}
     assert not squares & {tuple(phi) for phi in maps}
@@ -419,7 +449,7 @@ def test_every_subgroup_records_a_representative_of_its_orbit(spec):
         assert lat.orbit[rep] == rep
         assert order[rep] == order[mask]
     # the orbits are closed under the maps that generated them
-    for phi in automorphisms(g):
+    for phi in automorphisms(g, split_generators(g)):
         for mask, rep in lat.orbit.items():
             assert lat.orbit[sum(1 << phi[a] for a in _bits(mask))] == rep
     if len(lat.all) <= 400:

@@ -53,6 +53,15 @@ def test_run_suites_rejects_unknown_names():
         run_suites(["triangle", "nope"])
 
 
+def test_run_suites_runs_a_repeated_name_once():
+    once = run_suites(["examples"], max_order=8)
+    twice = run_suites(["examples", "tozp", "examples"], max_order=8)
+    assert [r.suite for r in twice.results] == ["examples"] * len(once.results) + ["tozp"] * (
+        len(twice.results) - len(once.results)
+    )
+    assert twice.certificates_checked > once.certificates_checked
+
+
 def test_examples_suite_respects_bound():
     report = run_suites(["examples"], max_order=8)
     names = [r.name for r in report.results]
