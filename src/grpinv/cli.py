@@ -296,9 +296,10 @@ def _cmd_verify(args) -> int:
                 print(f"error: unknown suite {n!r}", file=sys.stderr)
                 return 1
     report = run_suites(names, max_order=args.max_order, node_budget=args.budget)
-    by_suite: dict[str, list] = {}
+    # every suite that ran, also one that made no checks at this bound
+    by_suite: dict[str, list] = {suite: [] for suite in names or SUITE_NAMES}
     for r in report.results:
-        by_suite.setdefault(r.suite, []).append(r)
+        by_suite[r.suite].append(r)
     counts = {suite: Counter(r.status for r in rs) for suite, rs in by_suite.items()}
     if args.json:
         doc = _base_doc("verify", names or list(SUITE_NAMES), started, args.max_order or 0)
@@ -333,7 +334,7 @@ def _cmd_verify(args) -> int:
             shown = ", ".join(
                 f"{tally[k]} {k}" for k in ("pass", "fail", "flag", "skip") if tally[k]
             )
-            print(f"suite {suite}: {len(rs)} checks ({shown})")
+            print(f"suite {suite}: {len(rs)} checks" + (f" ({shown})" if shown else ""))
         if report.certificate_failures:
             for f in report.certificate_failures:
                 print(f"FAIL certificate: {f}")

@@ -529,18 +529,15 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    n, m = g.order, h.order
-    table = [[0] * (n * m) for _ in range(n * m)]
-    gt, ht = g.table, h.table
-    for a in range(n):
-        for b in range(m):
-            row = table[a * m + b]
-            ga = gt[a]
-            hb = ht[b]
-            for c in range(n):
-                base = ga[c] * m
-                for d in range(m):
-                    row[c * m + d] = base + hb[d]
+    # (a,b)*(c,d) = (ac, bd) is indexed ac*m + bd, so the row of (a,b) is
+    # row b of H shifted by ac*m, one block per c in the order of row a
+    m = h.order
+    shifted = [[[c * m + x for x in hb] for c in range(g.order)] for hb in h.table]
+    table = [
+        list(chain.from_iterable(map(blocks.__getitem__, ga)))
+        for ga in g.table
+        for blocks in shifted
+    ]
     return _finalize(f"{g.label} x {h.label}", table)
 
 

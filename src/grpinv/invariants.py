@@ -31,6 +31,7 @@ from .iso import are_isomorphic, embeds, is_embedding, missing_order, spectrum_d
 from .lattice import (
     Subgroup,
     _maximal_orbits,
+    _subgroup_table,
     all_proper_subgroups_cyclic,
     all_subgroups,
     as_group,
@@ -152,15 +153,16 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
     """Injective hom-complexity: least cover of G by subgroups that each
     embed into H.
 
-    Fast paths: G embeds in H -> 1; an element order of G missing from H ->
-    infinite (and for finite G the converse holds, so the solver only runs
-    on feasible instances).  Candidates are the maximal members of the
-    proper subgroups that embed, from `lattice._maximal_orbits`: an
+    Fast paths: G embeds in H -> 1, asked only when |G| divides |H|, so
+    the `embeds` cache keeps real searches; an element order of G missing
+    from H -> infinite (and for finite G the converse holds, so the solver
+    only runs on feasible instances).  Candidates are the maximal members
+    of the proper subgroups that embed, from `lattice._maximal_orbits`: an
     automorphism of G maps S isomorphically onto a(S), so one embedding
     search decides an orbit.  Only the certificate's members get a witness,
     each found by the same search on its own table.
     """
-    w = embeds(g, h)
+    w = None if h.order % g.order else embeds(g, h)
     if w is not None:
         whole = make_subgroup(g, range(g.order))
         return InvariantReport("ic", g, h, finite(1), (CertEntry(whole, w),))
@@ -175,11 +177,13 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
         lat.all,
         lat.orbit,
         lat.joins,
-        lambda s: s.is_proper and h.order % s.order == 0 and embeds(as_group(g, s), h) is not None,
+        lambda s: s.is_proper
+        and h.order % s.order == 0
+        and embeds(_subgroup_table(g, s.mask), h) is not None,
     )
 
     def witnessed(s: Subgroup) -> CertEntry:
-        w = embeds(as_group(g, s), h)
+        w = embeds(_subgroup_table(g, s.mask), h)
         if w is None:
             raise CheckFailed(f"{g.label}|{s.order}@{s.mask:x} does not embed in {h.label}")
         return CertEntry(s, w)
@@ -231,7 +235,7 @@ def validate_optimal_ic_certificate(report: InvariantReport) -> bool:
             joined = _join(g, subs[i].mask | subs[j].mask)
             if joined.order == g.order or h.order % joined.order:
                 continue
-            if embeds(as_group(g, joined), h) is not None:
+            if embeds(_subgroup_table(g, joined.mask), h) is not None:
                 return False
     return True
 
@@ -272,7 +276,7 @@ def certificate_sound(report: InvariantReport) -> bool:
         if report.kind == "ic":
             if e.embedding is None or report.target is None:
                 return False
-            if not is_embedding(as_group(g, s), report.target, e.embedding):
+            if not is_embedding(_subgroup_table(g, s.mask), report.target, e.embedding):
                 return False
     return True
 
@@ -300,7 +304,7 @@ def check_bounds_sandwich(
     sigma_c_of = sigma_c_fn or (lambda a: sigma_c(a, node_budget).value)
     value = f(g, h)
     ok = True
-    if embeds(g, h) is None:
+    if h.order % g.order or embeds(g, h) is None:
         ok = ok and sigma_of(g) <= value
     if spectrum_dominates(g, h):
         ok = ok and value <= sigma_c_of(g)

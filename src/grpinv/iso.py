@@ -128,9 +128,11 @@ def embeds(k: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
     """Witness injective homomorphism K -> H, or None.
 
     The witness is the first the search meets, with the images of K's
-    generators taken in H's index order.  Cached per pair of tables: `ic`
-    and the sweep checkers ask the same question repeatedly, often of
-    relabelled copies of one group.
+    generators taken in H's index order.  Cached per pair of tables: `ic`,
+    its certificate checks and the sweep checkers ask the same question
+    repeatedly, often of relabelled copies of one group.  They test
+    |K| | |H| before they call, so a pair that Lagrange already rules out
+    takes no cache slot and evicts no search.
     """
     if h.order % k.order:
         return None

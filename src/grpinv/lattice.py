@@ -502,14 +502,18 @@ def as_group(g: FiniteGroup, s: Subgroup) -> FiniteGroup:
 
     Element i of the result is element `s.members[i]` of the parent, so the
     identity stays at 0.  The table is built once per (parent table, mask)
-    (see `_subgroup_table`); each call returns a view of it labelled after
-    its own parent.
+    (see `_subgroup_table`); each call returns a view of it labelled
+    "<parent>|<order>@<hex mask>" after its own parent.  Only callers that
+    print the label need the view (`corpus` and `check_subadditivity`);
+    `ic` and its certificate checks ask `_subgroup_table` directly.
     """
     return _subgroup_table(g, s.mask)._replace(label=f"{g.label}|{s.order}@{s.mask:x}")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _subgroup_table(g: FiniteGroup, mask: int) -> FiniteGroup:
+    """The subgroup on `mask` as a group of its own.  Its label is that of
+    whichever parent with this table asked first, so it is not to be shown."""
     elems = tuple(_bits(mask))
     back = {a: i for i, a in enumerate(elems)}
     table = [[back[g.table[a][b]] for b in elems] for a in elems]

@@ -355,6 +355,27 @@ def test_verify_runs_a_repeated_suite_once(capsys):
     assert doc["suites"]["examples"]["checks"] == 38
 
 
+def test_verify_reports_a_suite_that_made_no_checks(capsys):
+    # no group in either suite is within order 1, but both suites ran
+    argv = ("verify", "--suite", "examples,tozp", "--max-order", "1")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["operands"] == ["examples", "tozp"]
+    assert list(doc["suites"]) == ["examples", "tozp"]
+    assert all(
+        suite == {"checks": 0, "pass": 0, "fail": [], "flag": [], "skip": []}
+        for suite in doc["suites"].values()
+    )
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "suite examples: 0 checks",
+        "suite tozp: 0 checks",
+        "certificates: 0 validated, 0 unsound",
+    ]
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "tozp", "--max-order", "16", "--json")
     assert code == 0

@@ -142,6 +142,33 @@ def test_row_wise_tables_match_the_entry_loops():
         assert build_semidirect_pq(q, p).table == expected
 
 
+def reference_product_table(g, h):
+    """The table of G x H entry by entry: (a, b) indexed a*|H| + b."""
+    n, m = g.order, h.order
+    table = [[0] * (n * m) for _ in range(n * m)]
+    for a in range(n):
+        for b in range(m):
+            for c in range(n):
+                for d in range(m):
+                    table[a * m + b][c * m + d] = g.table[a][c] * m + h.table[b][d]
+    return table
+
+
+def test_row_sliced_product_tables_match_the_entry_loop():
+    c2, c2_5 = build(Cyclic(2)), build(Product((Cyclic(2),) * 5))
+    pairs = [
+        (c2, c2_5),
+        (c2_5, c2),
+        (build(Dihedral(4)), build(GeneralizedQuaternion(8))),
+        (build(Dihedral(3)), build(Cyclic(4))),
+        (build_semidirect_pq(7, 3), build(Cyclic(3))),
+        (build(Cyclic(25)), build(Cyclic(5))),
+    ]
+    for g, h in pairs:
+        expected = tuple(map(tuple, reference_product_table(g, h)))
+        assert groups._product(g, h).table == expected, (g.label, h.label)
+
+
 def test_semidirect_rejects_bad_parameters():
     with pytest.raises(InvalidSpec):
         build_semidirect_pq(5, 3)  # 3 does not divide 4

@@ -190,6 +190,32 @@ def test_ic_trivial_and_infinite_cases():
     assert report.value == INFINITE and report.infiniteness_reason == "spectrum_gap"
 
 
+def test_pairs_whose_orders_rule_out_an_embedding_keep_their_values(monkeypatch):
+    # |G| does not divide |H|: ic and the bounds check decide that G does
+    # not embed without asking embeds, so the answer stays out of its cache
+    asked = []
+    real = invariants.embeds
+    monkeypatch.setattr(invariants, "embeds", lambda k, h: asked.append((k, h)) or real(k, h))
+    cases = [
+        ("C4", "C2", INFINITE, "spectrum_gap", 4, None),
+        ("C2^2", "C3", INFINITE, "spectrum_gap", 2, None),
+        ("D3", "C4", INFINITE, "spectrum_gap", 3, None),
+        ("Q8", "C4", finite(3), None, None, (15, 85, 165)),
+        ("C3^2", "C3", finite(4), None, None, (7, 73, 161, 273)),
+    ]
+    for gs, hs, value, reason, missing, masks in cases:
+        g, h = build(parse_spec(gs)), build(parse_spec(hs))
+        report = ic(g, h)
+        assert (report.value, report.infiniteness_reason, report.missing_order) == (
+            value, reason, missing
+        ), (gs, hs)
+        if masks is not None:
+            assert tuple(e.subgroup.mask for e in report.certificate) == masks
+            assert certificate_sound(report)
+        assert check_bounds_sandwich(g, h)
+    assert asked and all(h.order % k.order == 0 for k, h in asked)
+
+
 def test_ic_one_iff_embeds():
     groups = [e.group for e in corpus(12)]
     for g, h in itertools.product(groups, repeat=2):
