@@ -165,7 +165,7 @@ class SweepContext:
     def _value(self, key: tuple[str, ...], *groups: FiniteGroup) -> ExtNat:
         """The value of `inv.<key[0]>` on the groups, whose labels make up
         the rest of the key; noted in the ledger once per key.  The callers
-        build the key inline: `verify` makes 136,262 lookups, nearly all
+        build the key inline: `verify` makes 8,862 lookups, 4,040 of them
         hits, and a key assembled here from the groups costs three times as
         much per hit."""
         value = self._values.get(key)

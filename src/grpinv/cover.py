@@ -21,13 +21,16 @@ of the r largest counts, so the node fails when that sum is below
 the other members can add.  The greedy upper bound reads its picks off the
 same counters.
 
-`min_cover` uses it twice.  The value: when the counting bound is at least
-two below the greedy cover's size, ask once for a cover of the counting
-bound's size, which spares a long descent; if there is none, the optimum
-lies above it.  Then lower the best size found while a smaller cover
-exists.  The certificate: fix one member at a time, the smallest index
-after the previous member whose remainder is still coverable by later
-candidates, which yields the lexicographically least optimal cover.  The
+`min_cover` uses it in two phases, and both choose members by one probe
+loop: scan the candidates in index order from a start, and take the first
+whose remainder is still coverable by later candidates.  The value: when
+the counting bound is at least two below the greedy cover's size, ask once
+for a cover of the counting bound's size, which spares a long descent; if
+there is none, the optimum lies above it.  Then lower the best size found
+while a smaller cover exists.  The root of each such search picks its
+first member by a probe from candidate 0, where the kernel would branch on
+a point.  The certificate: probe at each position from after the previous
+member, which yields the lexicographically least optimal cover.  The
 smallest cover found so far, greedy's until the kernel finds a smaller
 one, is such a remainder, so its lowest member is accepted without another
 search.  Every kernel call spends one node of a single budget, and so does
@@ -35,35 +38,28 @@ each member accepted without a search, so a certificate costs at least its
 size; running out raises `BudgetExceeded` with the bounds reached, never a
 non-optimal answer.
 
-An instance may label its candidates by classes whose members are images
-of each other under symmetries: permutations of the points that map every
-candidate into some candidate, as the automorphisms of G do for subgroups.
-The value searches then branch, at their root, over the lowest member of
-each class, in index order, and a member that fails takes its whole class
-out of the search.  That is sound: a symmetry maps any r-cover through a
-class member to an r-cover through the class's lowest member, once each
-image is replaced by a candidate that contains it; so, by induction over
-the classes that failed, no member of a failed class lies in any r-cover.
-
-The instance may also carry such symmetries as point permutations, and the
-lexicographic pass prunes by those that fix its accepted prefix P: when the
-probe of candidate c fails, so does that of every image of c under them.
-Every candidate between P's last member and c has failed, or was skipped
-by the `need` filter or as dead, and the same held at each earlier
-position.  So no optimal cover contains P and c: the lowest member of such
-a cover outside P would have succeeded at its own probe.  A symmetry s
-fixing each member of P maps an optimal cover through P and s(c) back to
-one through P and c, so s(c) is dead at this position and at every later
-one: it is skipped without a node, and left out of the later probes.  The
-images come from a breadth-first walk over the orbit of the tuple
-(P..., c) under the group the symmetries generate: each image that starts
-with P ends with a dead candidate.  Any part of the orbit is sound, so the
-walk stops after as many tuples as the failed probe spent nodes, and runs
-only after a probe that spent more than one: the pruning never costs more
-than the search it follows.  On IC(C2^2 x C4^2; C4^2) the pass took 1,389
-of 1,558 nodes, five probes of about 240 nodes each failing on images of
-one another under automorphisms that fix the first member; the rule
-brings the whole search down to 490 nodes.
+An instance may carry symmetries: permutations of the points that map
+every candidate onto a candidate, as the automorphisms of G do for its
+subgroups.  A probe prunes by those that fix its prefix P, the members
+chosen so far, which is empty at a value search's root: when the probe of
+candidate c fails, so does that of every image of c under them.  Every
+candidate between P's last member and c has failed, or was skipped by the
+`need` filter or as dead, and the same held at each earlier position.  So
+no cover of the size asked contains P and c: the lowest member of such a
+cover outside P would have succeeded at its own probe.  A symmetry s
+fixing each member of P maps a cover through P and s(c) back to one
+through P and c, so s(c) is dead at this position and at every later one:
+it is skipped without a node, and left out of the later probes.  At the
+root every symmetry fixes P, so a failed probe takes out the candidate's
+orbit.  The images come from a breadth-first walk over the orbit of the
+tuple (P..., c) under the group the symmetries generate: each image that
+starts with P ends with a dead candidate.  Any part of the orbit is sound,
+so the walk stops after as many tuples as the failed probe spent nodes,
+and runs only after a probe that spent more than one: the pruning never
+costs more than the search it follows.  On IC(C2^2 x C4^2; C4^2) the
+certificate pass took 1,389 of 1,558 nodes, five probes of about 240
+nodes each failing on images of one another under automorphisms that fix
+the first member; the rule brings the whole search down to 520 nodes.
 """
 
 from __future__ import annotations
@@ -80,16 +76,15 @@ class CoverInstance(
     Record,
     namedtuple(
         "CoverInstance",
-        "universe_size masks kept feasible labels symmetries",
-        defaults=(None, None),
+        "universe_size masks kept feasible symmetries",
+        defaults=(None,),
     ),
 ):
     """`masks` holds the candidate sets as bitmasks of points, duplicate-free
     with dominated (subset) sets removed, preserving first occurrence;
-    `kept` maps back to caller positions.  `labels`, when not None, names
-    each kept candidate's class: candidates of one class are images of each
-    other under symmetries of the instance.  `symmetries`, when not None,
-    holds such symmetries as tuples of point images (see `make_instance`)."""
+    `kept` maps back to caller positions.  `symmetries`, when not None,
+    holds symmetries of the instance as tuples of point images (see
+    `make_instance`)."""
 
     __slots__ = ()
 
@@ -103,22 +98,17 @@ def _mask(points) -> int:
     return mask
 
 
-def make_instance(universe_size: int, point_masks, labels=None, symmetries=None) -> CoverInstance:
+def make_instance(universe_size: int, point_masks, symmetries=None) -> CoverInstance:
     """The cover instance of the candidates given as bitmasks of points
     (bit p for point p).  An iterable of points is also taken for a
     candidate, and folded into its mask.
 
-    `labels`, when given, holds one label per candidate, and candidates
-    with equal labels must be images of each other under a symmetry: a
-    permutation of the points that maps every candidate's set into the set
-    of some candidate.  The orbits of Aut(G) on the subgroups of G are such
-    classes.  `min_cover` then branches over one candidate per class at the
-    root of its value searches.
-
     `symmetries`, when given, holds symmetries as tuples of point images,
-    p -> perm[p]; the automorphisms of G are such maps.  `min_cover` prunes
-    its certificate pass with them, and raises `CheckFailed` if one is no
-    permutation or maps a kept candidate's set onto no kept set.
+    p -> perm[p]: permutations of the points that map every candidate's set
+    onto the set of some candidate, as the automorphisms of G do for its
+    subgroups.  `min_cover` prunes its searches with them, and raises
+    `CheckFailed` if one is no permutation or maps a kept candidate's set
+    onto no kept set.
     """
     if universe_size < 1:
         raise ValueError("universe must be nonempty")
@@ -139,7 +129,6 @@ def make_instance(universe_size: int, point_masks, labels=None, symmetries=None)
         masks=tuple(masks[j] for j in kept),
         kept=tuple(kept),
         feasible=union == full,
-        labels=None if labels is None else tuple(labels[j] for j in kept),
         symmetries=None if symmetries is None else tuple(map(tuple, symmetries)),
     )
 
@@ -213,15 +202,6 @@ def _by_count(planes: list[int]):
         pool ^= top
 
 
-def _bitset(indices) -> int:
-    """The bitset of the indices, set byte by byte: OR-ing one bit at a time
-    into an int copies the int each time, which is quadratic in the count."""
-    buf = bytearray(max(indices) // 8 + 1)
-    for i in indices:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
 class _Symmetries:
     """An instance's symmetries acting on its candidate indices, each image
     looked up once, when a walk first needs it."""
@@ -273,6 +253,7 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
     budget = _Budget(node_budget)
     max_size = max(m.bit_count() for m in masks)
     lower = -(-inst.universe_size // max_size)
+    orbits = None  # the instance's `_Symmetries`, set up at the first walk
 
     # point_bits[p]: bitset of the candidate indices that contain point p
     point_bits = [0] * inst.universe_size
@@ -280,21 +261,40 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
         for p in _bits(m):
             point_bits[p] |= 1 << i
 
-    # the classes of the instance's labels, as (bit of the lowest member,
-    # bitset of the members), lowest member first
-    label_classes = None
-    if inst.labels is not None:
-        members: dict = {}
-        for i, label in enumerate(inst.labels):
-            members.setdefault(label, []).append(i)
-        label_classes = [(1 << ids[0], _bitset(ids)) for ids in members.values()]
+    def probe(
+        prefix: tuple, uncovered: int, r: int, start: int, witness: int, dead: int, need: int
+    ) -> tuple[int, int, int] | None:
+        """The first candidate c from `start` on such that later candidates
+        cover the rest of `uncovered` in at most r - 1 members, as (c, that
+        cover, dead), or None.  A member of `witness` is such a c without a
+        search; a `dead` candidate, or one holding fewer than `need` points,
+        is skipped.  A probe through c that fails after more than one node
+        also kills the images of c under the symmetries that fix `prefix`."""
+        nonlocal orbits
+        for c in range(start, n):
+            low = 1 << c
+            if witness & low:
+                budget.spend()
+                return c, witness ^ low, dead
+            m = masks[c]
+            if dead & low or (m & uncovered).bit_count() < need:
+                continue
+            before = budget.left
+            found = coverable(uncovered & ~m, r - 1, everything & ~(2 * low - 1 | dead))
+            if found is not None:
+                return c, found, dead
+            spent = before - budget.left
+            if spent > 1 and inst.symmetries:
+                orbits = orbits or _Symmetries(inst)
+                for t in orbits.orbit((*prefix, c), spent):
+                    if t[:-1] == prefix:
+                        dead |= 1 << t[-1]
+        return None
 
-    def coverable(uncovered: int, r: int, allowed: int, classes=None) -> int | None:
+    def coverable(uncovered: int, r: int, allowed: int, root: bool = False) -> int | None:
         """A bitset of at most r candidates in `allowed` that covers
-        `uncovered`, or None if there is none.  With `classes`, branch over
-        the lowest member of each class instead of the candidates of one
-        point, and drop a whole class from `allowed` when its member fails;
-        `min_cover` passes them only at the root of a value search."""
+        `uncovered`, or None if there is none.  At the `root` of a value
+        search, choose the first member by `probe` with an empty prefix."""
         budget.spend()
         if not uncovered:
             return 0
@@ -331,15 +331,9 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
             if total < size:
                 return None
             need = size - (total if left else total - count)
-        if classes is not None:
-            for low, members in classes:
-                m = masks[low.bit_length() - 1]
-                if (m & uncovered).bit_count() >= need:
-                    found = coverable(uncovered & ~m, r - 1, allowed)
-                    if found is not None:
-                        return found | low
-                allowed &= ~members  # no cover through this class is left
-            return None
+        if root:
+            step = probe((), uncovered, r, 0, 0, 0, need)
+            return None if step is None else step[1] | 1 << step[0]
         while branch:
             low = branch & -branch
             branch ^= low
@@ -368,13 +362,13 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
         # the counting bound first: far below the greedy size, one search at
         # `lower` spares the descent every size in between
         if lower <= optimum - 2:
-            found = coverable(full, lower, everything, label_classes)
+            found = coverable(full, lower, everything, root=True)
             if found is None:
                 floor = lower
             else:
                 witness, optimum = found, found.bit_count()
         while optimum > floor + 1:
-            smaller = coverable(full, optimum - 1, everything, label_classes)
+            smaller = coverable(full, optimum - 1, everything, root=True)
             if smaller is None:
                 break
             witness, optimum = smaller, smaller.bit_count()
@@ -382,47 +376,25 @@ def min_cover(inst: CoverInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Co
         low = max(lower, floor + 1)
         raise BudgetExceeded(f"{exc}: optimum in [{low}, {optimum}]") from None
 
-    # lex-least certificate: at each position the smallest candidate after
-    # the previous one whose remainder still fits in the members left.
-    # `witness` is an optimal cover of `uncovered` by later candidates, so
-    # its lowest member fits without a search; taking it spends a node, as
-    # a search would, so a certificate costs at least its size.
-    # A probe through c that fails after more than one node also kills the
-    # images of c under the symmetries that fix the certificate so far: they
-    # are skipped without a node, and left out of every later probe.
-    orbits = None  # the instance's `_Symmetries`, set up at the first walk
+    # lex-least certificate: at each position the first probe after the
+    # previous member.  `witness` is an optimal cover of `uncovered` by later
+    # candidates, so its lowest member is taken without a search; that
+    # spends a node, as a search would, so a certificate costs at least its
+    # size.  The dead candidates stay dead at every later position.
     certificate: list[int] = []
     uncovered = full
     c = -1
     dead = 0  # candidates in no optimal cover through the certificate so far
     try:
         while uncovered:
-            left = optimum - len(certificate) - 1
-            need = max(1, uncovered.bit_count() - left * max_size)
-            for c in range(c + 1, n):
-                low = 1 << c
-                if witness & low:
-                    budget.spend()
-                    witness ^= low
-                    break
-                m = masks[c]
-                if not dead & low and (m & uncovered).bit_count() >= need:
-                    before = budget.left
-                    found = coverable(uncovered & ~m, left, everything & ~(2 * low - 1 | dead))
-                    if found is not None:
-                        witness = found
-                        break
-                    spent = before - budget.left
-                    if spent > 1 and inst.symmetries:
-                        orbits = orbits or _Symmetries(inst)
-                        prefix = tuple(certificate)
-                        for t in orbits.orbit((*prefix, c), spent):
-                            if t[:-1] == prefix:
-                                dead |= 1 << t[-1]
-            else:
+            r = optimum - len(certificate)
+            need = max(1, uncovered.bit_count() - (r - 1) * max_size)
+            step = probe(tuple(certificate), uncovered, r, c + 1, witness, dead, need)
+            if step is None:
                 raise CheckFailed(
                     f"no cover of the optimal size {optimum} in the lexicographic pass"
                 )
+            c, witness, dead = step
             certificate.append(c)
             uncovered &= ~masks[c]
     except BudgetExceeded as exc:

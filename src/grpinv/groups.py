@@ -611,11 +611,7 @@ def from_permutation_generators(
         columns.append(list(map(right[j].__getitem__, columns[p])))
     table = list(zip(*columns))
     if label is None:
-        shown = ";".join(
-            "".join(f"({' '.join(map(str, c))})" for c in perm_cycles(g)) or "()"
-            for g in gens
-        )
-        label = f"Perm[{shown}]"
+        label = spec_text(PermGroup(tuple(map(perm_cycles, gens)), degree))
     return _finalize(label, table)
 
 

@@ -62,12 +62,6 @@ class InvariantReport(
 
     __slots__ = ()
 
-    @property
-    def operands(self) -> tuple[str, ...]:
-        if self.target is None:
-            return (self.group.label,)
-        return (self.group.label, self.target.label)
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _points(g: FiniteGroup) -> tuple[dict[int, int], int, tuple[tuple[int, ...], ...]]:
@@ -111,15 +105,9 @@ def _solve(kind, g, target, candidates, entry, node_budget):
     """Least cover of the points by the candidates; `entry` makes the
     CertEntry of a candidate, and is called for the certificate's members
     only.  The automorphisms of G permute the points and the candidates, so
-    the candidates are labelled by their orbits, over which the value
-    searches branch at their root, and the maps go along as the symmetries
-    that prune the certificate pass."""
-    lat = all_subgroups(g)
+    the maps go along as the symmetries that prune the cover search."""
     inst = make_instance(
-        len(lat.maximal_cyclic_subgroups),
-        _point_sets(g, candidates),
-        [lat.orbit[c.mask] for c in candidates],
-        _points(g)[2],
+        len(all_subgroups(g).maximal_cyclic_subgroups), _point_sets(g, candidates), _points(g)[2]
     )
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:

@@ -1,16 +1,15 @@
-import pytest
+import sys
 
-from grpinv import corpus, groups, invariants, iso, lattice
+import pytest
 
 
 @pytest.fixture
 def fresh_caches():
     """Empty the table store and every content-keyed cache, so the test
-    computes everything again instead of reusing an earlier test's results."""
-    groups._checked.cache_clear()
-    groups._product.cache_clear()
-    lattice.all_subgroups.cache_clear()
-    lattice._subgroup_table.cache_clear()
-    iso.embeds.cache_clear()
-    invariants._join.cache_clear()
-    corpus.corpus.cache_clear()
+    computes everything again instead of reusing an earlier test's results:
+    every attribute of a loaded `grpinv` module that has `cache_clear`."""
+    for name, module in list(sys.modules.items()):
+        if name == "grpinv" or name.startswith("grpinv."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()

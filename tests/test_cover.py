@@ -316,52 +316,48 @@ def test_points_are_masks_and_iterables_are_folded():
 
 def shift_closed_instance(rng):
     """Random sets with all their images under the shift p -> p + step
-    (mod the universe size), each labelled by the set it was shifted from:
-    the shift permutes the points and the candidates, so each label names
-    images of one set.  Drawn until the sets cover the universe."""
+    (mod the universe size), with the shift as the instance's symmetry: it
+    permutes the points and the candidates.  Drawn until the sets cover the
+    universe."""
     while True:
         universe = rng.randint(2, 18)
         step = rng.choice([d for d in range(1, universe + 1) if universe % d == 0])
-        sets, labels = [], []
-        for label in range(rng.randint(1, 4)):
+        sets = []
+        for _ in range(rng.randint(1, 4)):
             size = rng.randint(1, min(universe, rng.choice((2, 3, 5))))
             base = rng.sample(range(universe), size)
             for k in range(0, universe, step):
                 sets.append({(p + k) % universe for p in base})
-                labels.append(label)
-        order = list(range(len(sets)))
-        rng.shuffle(order)
-        inst = make_instance(
-            universe, point_masks(sets[i] for i in order), [labels[i] for i in order]
-        )
+        rng.shuffle(sets)
+        shift = [(p + step) % universe for p in range(universe)]
+        inst = make_instance(universe, point_masks(sets), [shift])
         if inst.feasible:
             return inst
 
 
-def test_labelled_search_matches_unlabelled_and_reference():
+def test_shift_symmetry_matches_the_plain_search_and_reference():
     rng = random.Random(0x0B17)
     for _ in range(600):
         inst = shift_closed_instance(rng)
         sol = min_cover(inst)
-        assert sol == min_cover(inst._replace(labels=None)) == reference_min_cover(inst)
+        assert sol == min_cover(inst._replace(symmetries=None)) == reference_min_cover(inst)
 
 
 def dihedral_closed_instance(rng):
     """Random sets with all their images under the rotations and
-    reflections of `rings` concentric polygons of `sides` vertices, each
-    labelled by the set it was moved from, and with the rotation and one
-    reflection as the instance's symmetries.  Half the sets are made
-    symmetric under the reflection, so that a prefix of the certificate
-    pass is often fixed by a reflection that moves later candidates.  Drawn
-    until the sets cover the points."""
+    reflections of `rings` concentric polygons of `sides` vertices, with
+    the rotation and one reflection as the instance's symmetries.  Half the
+    sets are made symmetric under the reflection, so that a prefix of the
+    certificate pass is often fixed by a reflection that moves later
+    candidates.  Drawn until the sets cover the points."""
     while True:
         sides = rng.randint(3, 8)
         rings = rng.randint(1, 3)
         universe = sides * rings
         rotate = tuple(p - p % sides + (p + 1) % sides for p in range(universe))
         reflect = tuple(p - p % sides + -p % sides for p in range(universe))
-        sets, labels = [], []
-        for label in range(rng.randint(1, 4)):
+        sets = []
+        for _ in range(rng.randint(1, 4)):
             size = rng.randint(1, min(universe, rng.choice((2, 3, 4, 6))))
             base = set(rng.sample(range(universe), size))
             if rng.random() < 0.5:
@@ -369,16 +365,9 @@ def dihedral_closed_instance(rng):
             for image in (base, {reflect[p] for p in base}):
                 for _ in range(sides):
                     sets.append(image)
-                    labels.append(label)
                     image = {rotate[p] for p in image}
-        order = list(range(len(sets)))
-        rng.shuffle(order)
-        inst = make_instance(
-            universe,
-            point_masks(sets[i] for i in order),
-            [labels[i] for i in order],
-            [rotate, reflect],
-        )
+        rng.shuffle(sets)
+        inst = make_instance(universe, point_masks(sets), [rotate, reflect])
         if inst.feasible:
             return inst
 
@@ -445,7 +434,7 @@ COVER_PAIRS = (
 )
 
 
-def test_orbit_labels_leave_every_solution_unchanged(monkeypatch):
+def test_automorphisms_leave_every_solution_unchanged(monkeypatch):
     groups = [e.group for e in corpus(12)]
     queries = [lambda g=g: sigma(g) for g in groups]
     queries += [lambda g=g: sigma_c(g) for g in groups]
@@ -456,10 +445,8 @@ def test_orbit_labels_leave_every_solution_unchanged(monkeypatch):
     captured = _captured_instances(monkeypatch, queries)
     assert len(captured) > 50
     for inst in captured:
-        assert inst.labels is not None and len(inst.labels) == len(inst.masks)
         assert inst.symmetries is not None
         sol = min_cover(inst)
-        assert sol == min_cover(inst._replace(labels=None))
         assert sol == min_cover(inst._replace(symmetries=None)) == reference_min_cover(inst)
 
 
@@ -468,12 +455,25 @@ def test_orbit_labels_leave_every_solution_unchanged(monkeypatch):
     [("C2^2xC4^2", "C4^2", 2_000), ("C2^2xC4^2", "C4^2", 600), ("C2^3xC4", "C4xC2", 300)],
 )
 def test_orbit_pruning_fits_ic_in_a_small_budget(g, h, nodes):
-    # branching over one candidate per orbit at the root, and the greedy
-    # cover as the certificate's first witness: 3,661 and 1,079 nodes
-    # without; the certificate pass skipping the images of a failed probe
-    # under the automorphisms that fix its prefix: 490 nodes on
-    # C2^2xC4^2;C4^2, against 1,558 without
+    # a failed probe ruling out its images under the automorphisms that fix
+    # its prefix, at the root of the value searches and in the certificate
+    # pass, and the greedy cover as the certificate's first witness: 520
+    # and 235 nodes (test_symmetries_alone_prune_the_root)
     assert ic(build(parse_spec(g)), build(parse_spec(h)), node_budget=nodes).value.is_finite
+
+
+@pytest.mark.parametrize(
+    "g, h, nodes", [("C2^2xC4^2", "C4^2", 600), ("C2^3xC4", "C4xC2", 300)]
+)
+def test_symmetries_alone_prune_the_root(monkeypatch, g, h, nodes):
+    # without the symmetries no failed probe rules out its images, at the
+    # root of a value search or in the certificate pass: 3,481 and 1,426
+    # nodes, against 520 and 235 with them
+    g, h = build(parse_spec(g)), build(parse_spec(h))
+    (inst,) = _captured_instances(monkeypatch, [lambda: ic(g, h)])
+    assert min_cover(inst, node_budget=nodes) == reference_min_cover(inst)
+    with pytest.raises(BudgetExceeded):
+        min_cover(inst._replace(symmetries=None), node_budget=nodes)
 
 
 def test_greedy_witness_gives_way_to_a_smaller_first_member():

@@ -3,10 +3,13 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 
 from grpinv import groups
+from grpinv.cli import parse_spec
+from grpinv.corpus import corpus
 from grpinv.errors import InvalidSpec, OrderLimitExceeded
 from grpinv.groups import (
     INFINITE,
@@ -24,8 +27,10 @@ from grpinv.groups import (
     build_semidirect_pq,
     finite,
     from_permutation_generators,
+    perm_cycles,
     spec_text,
 )
+from grpinv.invariants import ic, validate_optimal_ic_certificate
 
 
 def naive_order(g, a):
@@ -223,6 +228,27 @@ def test_permutation_closure():
     assert s3.order == 6
     assert are_isomorphic(s3, build(Dihedral(3))) is not None
     assert from_permutation_generators([]).order == 1
+
+
+@pytest.mark.parametrize(
+    "gens, label",
+    [
+        ([(0, 1, 2)], "Perm[()]"),
+        ([], "Perm[]"),
+        ([(1, 0, 3, 2)], "Perm[(1 2)(3 4)]"),
+        ([(1, 2, 0), (1, 0, 2)], "Perm[(1 2 3);(1 2)]"),
+        (
+            [tuple((p + 1) % 7 for p in range(7)), tuple(-p % 7 for p in range(7))],
+            "Perm[(1 2 3 4 5 6 7);(2 7)(3 6)(4 5)]",
+        ),
+    ],
+    ids=["identity", "none", "C2", "S3", "D7"],
+)
+def test_default_permutation_label_is_the_spec_text(gens, label):
+    g = from_permutation_generators(gens)
+    degree = len(gens[0]) if gens else 1
+    assert g.label == spec_text(PermGroup(tuple(map(perm_cycles, gens)), degree)) == label
+    assert build(parse_spec(g.label)).order == g.order
 
 
 def test_permutation_closure_respects_cap():
@@ -424,3 +450,21 @@ def test_maximal_matches_the_pairwise_reference():
             masks += rng.choices(masks, k=rng.randint(0, 4)) + [0] * rng.randint(0, 2)
             rng.shuffle(masks)
         assert _maximal(masks) == reference_maximal(masks), masks
+
+
+def test_fresh_caches_empties_every_cache_of_the_package(request):
+    corpus(4)
+    report = ic(build(parse_spec("D4 x C2")), build(Cyclic(4)))
+    assert validate_optimal_ic_certificate(report)  # closes pairs of members
+    caches = {
+        id(value): value
+        for name, module in list(sys.modules.items())
+        if name == "grpinv" or name.startswith("grpinv.")
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear")
+    }.values()
+    # the store, the product and subgroup tables, the lattice, embeds, the
+    # cover's points, the pair joins and the corpus
+    assert sum(cached.cache_info().currsize > 0 for cached in caches) >= 8
+    request.getfixturevalue("fresh_caches")
+    assert all(cached.cache_info().currsize == 0 for cached in caches)
