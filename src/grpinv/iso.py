@@ -2,12 +2,13 @@
 
 `are_isomorphic` and `embeds` are two entries to one search for an
 injective homomorphism K -> H.  It rejects when some element order is
-rarer in H than in K, then backtracks over images of a greedy generating
-set of K, taken in H's index order.  Each partial map goes through
-`lattice._hom_from_images`, the breadth-first kernel that also confirms
-the lattice's automorphisms: it walks the Cayley graph of the generators
-mapped so far and fails on the first edge or repeated image that breaks
-an injective homomorphism, long before a full assignment.
+rarer in H than in K, then backtracks over images of K's split
+generators (`lattice.split_generators`, the generators of the lattice's
+automorphisms too), taken in H's index order.  Each partial map goes
+through `lattice._hom_from_images`, the breadth-first kernel that also
+confirms the lattice's automorphisms: it walks the Cayley graph of the
+generators mapped so far and fails on the first edge or repeated image
+that breaks an injective homomorphism, long before a full assignment.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import itemgetter
 
 from .errors import CheckFailed
 from .groups import CACHE_SIZE, FiniteGroup
-from .lattice import _hom_from_images, closure, greedy_generators
+from .lattice import _hom_from_images, closure, split_generators
 
 EmbeddingWitness = tuple[int, ...]
 
@@ -53,14 +54,14 @@ def _embedding(k: FiniteGroup, h: FiniteGroup) -> EmbeddingWitness | None:
     It needs N_d(K) <= N_d(H) for N_d the number of elements of order d, so
     equal spectra at |K| = |H|; the multiset of cyclic subgroup orders adds
     nothing, as a group has N_d/phi(d) cyclic subgroups of order d.  The
-    search maps a greedy generating set g_0, g_1, ... of K in turn and
-    prunes only branches that hold no solution, so it finds the witness
-    that the unpruned search would.
+    search maps the split generators g_0, g_1, ... of K in turn and prunes
+    only branches that hold no solution, so it finds the witness that the
+    unpruned search would.
     """
     have = Counter(h.elem_order)
     if any(n > have[d] for d, n in Counter(k.elem_order).items()):
         return None
-    kt, ht, gens = k.table, h.table, greedy_generators(k)
+    kt, ht, gens = k.table, h.table, split_generators(k)
     candidates = {o: [b for b, e in enumerate(h.elem_order) if e == o] for o in have}
     # failed[i]: images T of maps on S = <g_0..g_i> that extend to no
     # solution, kept where K = S x <g_i+1..>: every automorphism a of S then

@@ -195,17 +195,6 @@ def _maximal_orbits(ordered, orbit, joins, admissible) -> list[Subgroup]:
     return [s for s in ordered if orbit[s.mask] in top]
 
 
-def greedy_generators(g: FiniteGroup) -> list[int]:
-    """Small generating set: repeatedly adjoin a highest-order element
-    outside the subgroup generated so far (ties broken by index), folding
-    `_join` over the picks."""
-    members, mask, gens = [0], 1, []
-    for a in sorted(range(g.order), key=g.elem_order.__getitem__, reverse=True):
-        if not mask >> a & 1:
-            members, mask, gens = _join(g.table, members, mask, gens, a)
-    return gens
-
-
 def _hom_from_images(ktable, htable, gens, images) -> list[int] | None:
     """The injective homomorphism <gens> -> H sending gens[i] to images[i],
     for K and H given by their tables, as the list of images of K's
@@ -239,12 +228,16 @@ def _hom_from_images(ktable, htable, gens, images) -> list[int] | None:
 def split_generators(g: FiniteGroup) -> list[int]:
     """Generators of G, each of the highest order (ties by index) among the
     elements whose cyclic subgroup meets the span so far only in the
-    identity: on an abelian p-group a basis, orders descending.  Where none
-    is left before the span is G, as on Q8, the greedy generators instead.
-    An element that fails stays failed, so one pass finds every pick."""
+    identity: on an abelian p-group a basis, orders descending.  An element
+    that fails stays failed, so one pass finds every pick.  Where none is
+    left before the span is G, as on Q8, the pass starts again from the
+    identity and adjoins each element outside the span, in the same order.
+    These are the generators of the lattice's automorphisms and of the
+    embedding search alike."""
     table, n = g.table, g.order
+    by_order = sorted(range(n), key=g.elem_order.__getitem__, reverse=True)
     members, mask, gens = [0], 1, []
-    for a in sorted(range(n), key=g.elem_order.__getitem__, reverse=True):
+    for a in by_order:
         if len(members) == n:
             return gens
         x = a
@@ -252,7 +245,12 @@ def split_generators(g: FiniteGroup) -> list[int]:
             x = table[x][a]
         if not x:
             members, mask, gens = _join(table, members, mask, gens, a)
-    return gens if len(members) == n else greedy_generators(g)
+    if len(members) < n:
+        members, mask, gens = [0], 1, []
+        for a in by_order:
+            if not mask >> a & 1:
+                members, mask, gens = _join(table, members, mask, gens, a)
+    return gens
 
 
 def _commute(table, elems) -> bool:

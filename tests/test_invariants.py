@@ -154,6 +154,25 @@ def test_sigma_of_s6_and_a6(spec, value):
     assert certificate_sound(report)
 
 
+@pytest.mark.parametrize(
+    "spec, value, subgroups",
+    [
+        ("Perm[(1 2 3 4 5 6 7);(1 8)(2 7)(3 4)(5 6)]", 15, 179),
+        ("Perm[(1 2)(3 4)(5 6)(7 8);(1 9)(3 6)(4 7)(5 8);(2 3 5 4 7 8 6)]", 36, 386),
+        ("Perm[(1 2 3 4 5 6 7 8 9 10 11);(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)]", 67, 620),
+    ],
+    ids=["PSL(2,7)", "PSL(2,8)", "PSL(2,11)"],
+)
+def test_sigma_of_psl2(spec, value, subgroups):
+    # Bryce, Fedri and Serena (1999): sigma(PSL(2, q)) for q = 7, 8, 11
+    g = build(parse_spec(spec), max_order=HARD_MAX_ORDER)
+    assert len(all_subgroups(g).all) == subgroups
+    report = sigma(g)
+    assert report.value == finite(value)
+    assert len(report.certificate) == value
+    assert certificate_sound(report)
+
+
 # ---------------------------------------------------------------------------
 # ic
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grpinv.iso
+from grpinv.cli import parse_spec
 from grpinv.corpus import corpus
 from grpinv.groups import (
     Cyclic,
@@ -13,6 +16,7 @@ from grpinv.groups import (
     GeneralizedQuaternion,
     PermGroup,
     Product,
+    _finalize,
     build,
 )
 from grpinv.iso import (
@@ -28,8 +32,10 @@ from grpinv.lattice import (
     as_group,
     closure,
     cyclic_subgroups,
-    greedy_generators,
+    split_generators,
 )
+from test_lattice import RELABEL_GROUPS, reference_greedy_generators
+from test_store import _relabelled
 
 
 def exhaustive_isomorphism_exists(g, h):
@@ -89,32 +95,39 @@ def test_isomorphism_reflexive_symmetric():
         assert (are_isomorphic(g, h) is None) == (are_isomorphic(h, g) is None)
 
 
-def test_greedy_generators_generate():
-    for spec in (Cyclic(12), Dihedral(6), GeneralizedQuaternion(16), Product((Cyclic(2),) * 3)):
-        g = build(spec)
-        gens = greedy_generators(g)
-        assert closure(g, set(gens) | {0}).order == g.order
-
-
-def reference_greedy_generators(g):
-    """The loop that closed over the members gathered so far plus the new
-    element, instead of over the generators."""
-    gens = []
-    covered = closure(g, [0])
-    while covered.order < g.order:
-        best = min(
-            (a for a in range(g.order) if not covered.mask >> a & 1),
-            key=lambda a: (-g.elem_order[a], a),
-        )
-        gens.append(best)
-        covered = closure(g, set(covered.members) | {best})
-    return gens
-
-
-def test_greedy_generators_match_the_members_closure():
+def test_split_generators_generate():
     for entry in corpus(16):
         g = entry.group
-        assert greedy_generators(g) == reference_greedy_generators(g), g.label
+        assert closure(g, split_generators(g)).order == g.order, g.label
+
+
+def reference_split_pass(g):
+    """One pass over the elements by order, descending (ties by index),
+    adjoining each whose cyclic subgroup meets the span so far only in the
+    identity; None where the pass ends short of G."""
+    gens, covered = [], closure(g, [0])
+    for a in sorted(range(g.order), key=lambda a: (-g.elem_order[a], a)):
+        if covered.order < g.order and closure(g, [a]).mask & covered.mask == 1:
+            gens.append(a)
+            covered = closure(g, gens)
+    return gens if covered.order == g.order else None
+
+
+def test_split_generators_fall_back_to_the_members_closure():
+    # a stalled split pass starts again from the identity with the greedy rule
+    extra = [
+        build(Product((Cyclic(4), GeneralizedQuaternion(8)))),
+        build(Product((GeneralizedQuaternion(8),) * 2)),
+        build(Product((Product((Cyclic(2),) * 3), GeneralizedQuaternion(8)))),
+    ]
+    stalled = []
+    for g in [e.group for e in corpus(16)] + extra:
+        split = reference_split_pass(g)
+        if split is None:
+            stalled.append(g.label)
+            split = reference_greedy_generators(g)
+        assert split_generators(g) == split, g.label
+    assert stalled == ["Q8", "C2 x Q8", "Q16", "C4 x Q8", "Q8^2", "C2^3 x Q8"]
 
 
 def reference_cyclic_order_multiset(g):
@@ -189,9 +202,9 @@ def extend_by_pairwise_closure(k, h, phi, a, b):
 
 
 def reference_first_embedding(k, h):
-    """The search without pruning: images of K's greedy generators in H's
+    """The search without pruning: images of K's split generators in H's
     index order, closed under pairwise products; the first full map found."""
-    gens = greedy_generators(k)
+    gens = split_generators(k)
 
     def dfs(level, phi):
         if level == len(gens):
@@ -251,7 +264,7 @@ def test_embeds_rejects_on_element_order_counts(monkeypatch):
         pytest.fail("the search ran")
 
     monkeypatch.setattr(grpinv.iso, "_hom_from_images", no_search)
-    monkeypatch.setattr(grpinv.iso, "greedy_generators", no_search)
+    monkeypatch.setattr(grpinv.iso, "split_generators", no_search)
     k = build(Product((Cyclic(2),) * 2))
     for h in (build(Cyclic(4)), build(Cyclic(8))):
         assert spectrum_dominates(k, h)
@@ -264,7 +277,7 @@ def test_hom_kernel_matches_the_pairwise_closure_on_proper_subgroups():
     # every assignment of same-order images in another group H
     groups = [e.group for e in corpus(8)]
     for k, h in itertools.product(groups, repeat=2):
-        gens = greedy_generators(k)
+        gens = reference_greedy_generators(k)
         for n in (1, 2)[:len(gens)]:
             head = gens[:n]
             pools = [[b for b in range(h.order) if h.elem_order[b] == k.elem_order[a]] for a in head]
@@ -283,7 +296,7 @@ def test_hom_kernel_rejects_a_homomorphism_that_is_not_injective():
     # C4 -> C2 sending the generator to the involution: its square and the
     # identity share the image 0
     c2, c4 = build(Cyclic(2)), build(Cyclic(4))
-    assert _hom_from_images(c4.table, c2.table, greedy_generators(c4), [1]) is None
+    assert _hom_from_images(c4.table, c2.table, reference_greedy_generators(c4), [1]) is None
 
 
 def test_hom_kernel_on_a_proper_subgroup_leaves_the_rest_unmapped():
@@ -297,6 +310,60 @@ def test_embeds_witness_is_the_first_in_target_index_order():
     c12 = build(Cyclic(12))
     c4_c6 = build(Product((Cyclic(4), Cyclic(6))))
     assert embeds(c12, c4_c6) == (0, 7, 14, 21, 4, 11, 12, 19, 2, 9, 16, 23)
+
+
+@pytest.mark.parametrize(
+    "k, h, bound",
+    [
+        # 14,445 calls on split generators, 5,527,650 on greedy ones
+        ("C2^4 x C4", "D4 x D4 x C2", 50_000),
+        # 106,037 calls on either
+        ("C2^6", "D8 x C2^3", 110_000),
+    ],
+)
+def test_embeds_refutes_within_a_kernel_call_bound(k, h, bound, monkeypatch):
+    calls = itertools.count()
+
+    def counting(*args):
+        if next(calls) >= bound:
+            pytest.fail(f"more than {bound} kernel calls")
+        return _hom_from_images(*args)
+
+    monkeypatch.setattr(grpinv.iso, "_hom_from_images", counting)
+    assert embeds.__wrapped__(build(parse_spec(k)), build(parse_spec(h))) is None
+
+
+def test_embeds_witness_maps_the_split_generators():
+    # the first witness in H's index order for the images of K's split
+    # generators
+    k, h = build(parse_spec("C2 x C6")), build(parse_spec("C3 x D4"))
+    assert embeds(k, h) == (0, 10, 16, 2, 8, 18, 4, 14, 20, 6, 12, 22)
+
+
+RELABEL_EMBED_SOURCES = RELABEL_GROUPS + tuple(
+    build(parse_spec(spec)) for spec in ("C2 x Q8", "C4 x Q8", "C2 x C6")
+)
+RELABEL_EMBED_TARGETS = tuple(
+    build(parse_spec(spec)) for spec in ("C3 x D4", "C4 x C6", "D4 x C4", "C2^4")
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_embeds_of_relabelled_tables_keeps_its_answer(data):
+    # the split generators, and so the witness, depend on the labels; the
+    # answer must not
+    k = data.draw(st.sampled_from(RELABEL_EMBED_SOURCES))
+    h = data.draw(st.sampled_from(RELABEL_EMBED_TARGETS))
+
+    def relabelled(g):
+        perm = (0, *data.draw(st.permutations(range(1, g.order))))
+        return _finalize(f"{g.label}'", _relabelled(g.table, perm))
+
+    k2, h2 = relabelled(k), relabelled(h)
+    w = embeds(k2, h2)
+    assert (w is None) == (embeds(k, h) is None), (k.label, h.label)
+    assert w is None or is_embedding(k2, h2, w)
 
 
 def test_splits_recognises_internal_direct_products():
