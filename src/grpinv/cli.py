@@ -146,18 +146,17 @@ def _parse_repeated(s: _Scanner) -> tuple[GroupSpec, int]:
 def parse_spec(text: str) -> GroupSpec:
     """Parse a spec string.  A product comes out as one flat Product of its
     factors (the ^ sugar expands to repeated factors), and a single factor as
-    the atom itself, matching normalize_spec's canonical form."""
+    the atom itself, matching normalize_spec's canonical form.  A product of
+    more than HARD_MAX_ORDER factors is refused before it expands."""
     s = _Scanner(text)
     factors: list[GroupSpec] = []
-    atom, count = _parse_repeated(s)
-    factors.extend([atom] * count)
     while True:
+        atom, count = _parse_repeated(s)
+        if len(factors) + count > HARD_MAX_ORDER:
+            raise OrderLimitExceeded(f"more than {HARD_MAX_ORDER} factors in one product (the max order)")
+        factors.extend([atom] * count)
         s.skip_ws()
-        if s.peek() in ("x", "*"):
-            s.pos += 1
-            atom, count = _parse_repeated(s)
-            factors.extend([atom] * count)
-        else:
+        if not (s.take("x") or s.take("*")):
             break
     s.skip_ws()
     if s.pos != len(s.text):

@@ -541,12 +541,14 @@ def _product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return _finalize(f"{g.label} x {h.label}", table)
 
 
-def cycles_to_perm(cycles: tuple[tuple[int, ...], ...], degree: int) -> tuple[int, ...]:
-    """1-based disjoint cycles -> 0-based image tuple."""
-    images = list(range(degree))
+def cycles_to_perm(cycles: tuple[tuple[int, ...], ...], points) -> tuple[int, ...]:
+    """Disjoint cycles -> 0-based image tuple on `points`, an ascending
+    sequence of every point the cycles name, whose i-th point becomes i."""
+    at = {pt: i for i, pt in enumerate(points)}
+    images = list(range(len(points)))
     for cyc in cycles:
         for k, pt in enumerate(cyc):
-            images[pt - 1] = cyc[(k + 1) % len(cyc)] - 1
+            images[at[pt]] = at[cyc[(k + 1) % len(cyc)]]
     return tuple(images)
 
 
@@ -645,8 +647,10 @@ def build(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
             g = h if g is None else direct_product(g, h, label)
         predicted = spec_order(spec)  # at most max_order now, so cheap to multiply out
     elif isinstance(spec, PermGroup):
-        gens = [cycles_to_perm(c, spec.degree) for c in spec.generators]
-        g = from_permutation_generators(gens, spec.degree, max_order, label=label)
+        # on the points the cycles name only: Perm[(1 999999999)] acts on 2
+        points = sorted({pt for cycles in spec.generators for cyc in cycles for pt in cyc}) or [1]
+        gens = [cycles_to_perm(c, points) for c in spec.generators]
+        g = from_permutation_generators(gens, len(points), max_order, label=label)
     else:
         raise InvalidSpec(f"cannot build {spec!r}")
     if predicted is not None and g.order != predicted:

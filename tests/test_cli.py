@@ -230,6 +230,37 @@ def test_long_power_fails_on_the_order_limit():
     assert len(lines) == 1 and lines[0].startswith("error:") and "max order" in lines[0]
 
 
+def _main_under_memory_cap(argv):
+    # the child's address space is capped near 1.5 GB, so a spec that
+    # allocates in proportion to a number in it ends in a MemoryError
+    # traceback there, not in exhausting the test runner's memory
+    return _python(
+        "import resource, sys\n"
+        "cap = 1536 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from grpinv.cli import main\n"
+        f"sys.exit(main({argv!r}))",
+        timeout=10,
+    )
+
+
+@pytest.mark.parametrize("spec", ["C1^999999999", "C2 x C1^720"])
+def test_product_past_the_factor_cap_fails_before_it_expands(spec):
+    proc = _main_under_memory_cap(["sigma", spec])
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "max order" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sigma", "C1^720"), ("sigma", "C1^360 x C1^360"), ("sigma", "Perm[(1 999999999)]")],
+)
+def test_specs_naming_large_numbers_answer_in_small_memory(argv):
+    proc = _main_under_memory_cap(list(argv))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "infinite (cyclic group)\n", "")
+
+
 def test_huge_prime_sd_fails_on_the_order_limit():
     # q = 2^61 - 1 is prime, and proving it by trial division never ended;
     # a child process with a timeout fails this test instead of hanging

@@ -25,6 +25,7 @@ from grpinv.groups import (
     _validate_table,
     build,
     build_semidirect_pq,
+    cycles_to_perm,
     finite,
     from_permutation_generators,
     perm_cycles,
@@ -261,6 +262,28 @@ def test_perm_group_spec_build():
     g = build(PermGroup((((1, 2, 3),), ((1, 2),)), 3))
     assert g.order == 6
     assert g.label == "Perm[(1 2 3);(1 2)]"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Perm[(1 2 3 4);(1 2)]",
+        "Perm[(1 2 3 4 5);(1 2 3)]",
+        "Perm[(3 5)(7 9)]",
+        "Perm[(2 7 9);(9 4)]",
+        "Perm[(1 2 3)(4 5 6);(1 4)(2 5)(3 6)]",
+        "Perm[(10 20);(20 30)]",
+        "Perm[()]",
+    ],
+)
+def test_perm_group_acts_on_its_named_points(text):
+    # the table on the named points, relabelled in ascending order, is the
+    # table on all of 1..degree: the points no cycle names are fixed
+    spec = parse_spec(text)
+    full = [cycles_to_perm(cycles, range(1, spec.degree + 1)) for cycles in spec.generators]
+    g = build(spec)
+    assert g.label == text
+    assert g.table == from_permutation_generators(full, spec.degree, label=text).table
 
 
 def test_element_order_examples():

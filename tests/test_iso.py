@@ -319,6 +319,10 @@ def test_embeds_witness_is_the_first_in_target_index_order():
         ("C2^4 x C4", "D4 x D4 x C2", 50_000),
         # 106,037 calls on either
         ("C2^6", "D8 x C2^3", 110_000),
+        # 2,976 and 28,560 calls with the look-ahead, more than 300,000
+        # each without it
+        ("C2^2 x Q16", "C2 x C8 x D4", 10_000),
+        ("D4^2", "C2^2 x C4 x D4", 50_000),
     ],
 )
 def test_embeds_refutes_within_a_kernel_call_bound(k, h, bound, monkeypatch):
