@@ -114,13 +114,14 @@ def _parse_atom(s: _Scanner) -> GroupSpec:
         end = s.text.find("]", s.pos)
         if end < 0:
             raise ParseError("unclosed Perm[...]", start)
-        body = s.text[s.pos : end]
-        gens = tuple(
-            _parse_cycles(part, s.pos) for part in body.split(";") if part.strip()
-        )
-        degree = max((pt for cycles in gens for cyc in cycles for pt in cyc), default=1)
+        gens = []
+        base = s.pos  # each ';'-separated part reports offsets from its own start
+        for part in s.text[base:end].split(";"):
+            if part.strip():
+                gens.append(_parse_cycles(part, base))
+            base += len(part) + 1
         s.pos = end + 1
-        return PermGroup(gens, degree)
+        return PermGroup(tuple(gens))
     if s.take("C"):
         return Cyclic(s.integer())
     if s.take("D"):

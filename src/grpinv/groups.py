@@ -1,4 +1,4 @@
-"""Finite groups as validated Cayley tables, plus the named family constructors.
+"""Finite groups as validated Cayley tables, built from group specs.
 
 Elements are integers 0..n-1 with the identity fixed at 0.  Construction is
 deterministic: a given spec always realizes the same table, so certificates
@@ -133,8 +133,8 @@ class Product(Record, namedtuple("Product", "factors")):
     __slots__ = ()  # a tuple of GroupSpecs, e.g. Product((Cyclic(2),) * 3) for C2^3
 
 
-class PermGroup(Record, namedtuple("PermGroup", "generators degree")):
-    # cycles per generator, 1-based points, e.g. (((1,2,3),), ((1,2),))
+class PermGroup(Record, namedtuple("PermGroup", "generators")):
+    # cycles per generator, points >= 1, e.g. (((1,2,3),), ((1,2),))
     __slots__ = ()
 
 
@@ -242,14 +242,12 @@ def validate_spec(spec: GroupSpec) -> None:
         for f in spec.factors:
             validate_spec(f)
     elif isinstance(spec, PermGroup):
-        if spec.degree < 1:
-            raise InvalidSpec("permutation degree must be >= 1")
         for cycles in spec.generators:
             seen: set[int] = set()
             for cyc in cycles:
                 for pt in cyc:
-                    if not 1 <= pt <= spec.degree:
-                        raise InvalidSpec(f"cycle point {pt} outside 1..{spec.degree}")
+                    if pt < 1:
+                        raise InvalidSpec(f"cycle point {pt} must be >= 1")
                     if pt in seen:
                         raise InvalidSpec(f"point {pt} repeated within a generator")
                     seen.add(pt)
@@ -470,44 +468,29 @@ def _cyclic_table(n: int) -> list[list[int]]:
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
 
-def _dihedral_table(n: int) -> list[list[int]]:
-    # elements r^i a^s indexed s*n + i; a r a = r^-1, so r^i a^s * r^j a^t
-    # is r^(i+j) a^t for s = 0 and r^(i-j) a^(1-t) for s = 1
-    rot = list(range(n))
-    table = []
-    for i in rot:
-        up = rot[i:] + rot[:i]
-        table.append(up + [x + n for x in up])
-    for i in rot:
-        down = rot[i::-1] + rot[:i:-1]
-        table.append([x + n for x in down] + down)
-    return table
-
-
-def _quaternion_table(m: int) -> list[list[int]]:
-    # elements x^i y^s indexed s*h + i, h = m/2; y^2 = x^(h/2), y x y^-1 = x^-1,
-    # so x^i y^s * x^j y^t is x^(i+j) y^t for s = 0, and for s = 1 it is
-    # x^(i-j) y for t = 0 and x^(i-j+h/2) for t = 1
-    h = m // 2
+def _inverting_table(h: int, z: int) -> list[list[int]]:
+    # <x, y | x^h, y x y^-1 = x^-1, y^2 = x^z>: z = 0 gives D_h, z = h/2 gives
+    # Q_2h.  Elements x^i y^s are indexed s*h + i, and x^i y^s * x^j y^t is
+    # x^(i+j) y^t for s = 0; for s = 1 it is x^(i-j) y for t = 0 and
+    # x^(i-j+z) for t = 1, the entry x^(i-j) of row i + z
     rot = list(range(h))
+    downs = [rot[i::-1] + rot[:i:-1] for i in rot]
     table = []
     for i in rot:
         up = rot[i:] + rot[:i]
         table.append(up + [x + h for x in up])
     for i in rot:
-        down = rot[i::-1] + rot[:i:-1]
-        table.append([x + h for x in down] + [(x + h // 2) % h for x in down])
+        table.append([x + h for x in downs[i]] + downs[(i + z) % h])
     return table
 
 
-def build_semidirect_pq(q: int, p: int) -> FiniteGroup:
+def _semidirect_table(q: int, p: int) -> list[list[int]]:
     """Non-abelian C_q x| C_p: pairs (i mod q, j mod p) indexed i*p + j.
 
     (i,j)*(i',j') = (i + r^j i' mod q, j+j' mod p) with r the smallest
     integer > 1 whose p-th power is 1 mod q; the smallest r makes the table
     canonical (all valid choices give isomorphic groups).
     """
-    validate_spec(SemidirectPQ(q, p))
     r = next(r for r in range(2, q) if pow(r, p, q) == 1)
     table = []
     for i in range(q):
@@ -515,7 +498,7 @@ def build_semidirect_pq(q: int, p: int) -> FiniteGroup:
             rj = pow(r, j, q)
             tail = [(j + j2) % p for j2 in range(p)]
             table.append([(i + rj * i2) % q * p + k for i2 in range(q) for k in tail])
-    return _finalize(f"SD({q},{p})", table)
+    return table
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> FiniteGroup:
@@ -552,45 +535,17 @@ def cycles_to_perm(cycles: tuple[tuple[int, ...], ...], points) -> tuple[int, ..
     return tuple(images)
 
 
-def perm_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """0-based image tuple -> 1-based nontrivial cycles (smallest point first)."""
-    seen: set[int] = set()
-    cycles = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = perm[x]
-        cycles.append(tuple(p + 1 for p in cyc))
-    return tuple(cycles)
-
-
-def from_permutation_generators(
-    gens: list[tuple[int, ...]],
-    degree: int | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-    label: str | None = None,
-) -> FiniteGroup:
+def _perm_table(gens: list[tuple[int, ...]], degree: int, max_order: int) -> list[tuple[int, ...]]:
     """Breadth-first closure of generator products.
 
-    Each generator is an image tuple on 0..d-1.  Element 0 is the identity;
-    indexing follows BFS discovery order under the given generator ordering,
-    which makes the construction deterministic.
+    Each generator is an image tuple on 0..degree-1.  Element 0 is the
+    identity; indexing follows BFS discovery order under the given generator
+    ordering, which makes the construction deterministic.
 
     With right[j][x] the index of x*g_j (a*b is x -> a(b(x))) and e_k = e_p*g_j
     for the element p that k was found from, column k of the table is column
     p looked up in right[j], since a*e_k = (a*e_p)*g_j.
     """
-    if degree is None:
-        degree = len(gens[0]) if gens else 1
-    for g in gens:
-        if sorted(g) != list(range(degree)):
-            raise InvalidSpec(f"{g!r} is not a permutation of 0..{degree - 1}")
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
@@ -611,10 +566,7 @@ def from_permutation_generators(
     columns = [range(len(elems))]
     for p, j in parent[1:]:
         columns.append(list(map(right[j].__getitem__, columns[p])))
-    table = list(zip(*columns))
-    if label is None:
-        label = spec_text(PermGroup(tuple(map(perm_cycles, gens)), degree))
-    return _finalize(label, table)
+    return list(zip(*columns))
 
 
 def build(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -632,11 +584,11 @@ def build(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if isinstance(spec, Cyclic):
         g = _finalize(label, _cyclic_table(spec.n))
     elif isinstance(spec, Dihedral):
-        g = _finalize(label, _dihedral_table(spec.n))
+        g = _finalize(label, _inverting_table(spec.n, 0))
     elif isinstance(spec, GeneralizedQuaternion):
-        g = _finalize(label, _quaternion_table(spec.order))
+        g = _finalize(label, _inverting_table(spec.order // 2, spec.order // 4))
     elif isinstance(spec, SemidirectPQ):
-        g = build_semidirect_pq(spec.q, spec.p)
+        g = _finalize(label, _semidirect_table(spec.q, spec.p))
     elif isinstance(spec, Product):
         g = None
         for f in spec.factors:
@@ -650,7 +602,7 @@ def build(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
         # on the points the cycles name only: Perm[(1 999999999)] acts on 2
         points = sorted({pt for cycles in spec.generators for cyc in cycles for pt in cyc}) or [1]
         gens = [cycles_to_perm(c, points) for c in spec.generators]
-        g = from_permutation_generators(gens, len(points), max_order, label=label)
+        g = _finalize(label, _perm_table(gens, len(points), max_order))
     else:
         raise InvalidSpec(f"cannot build {spec!r}")
     if predicted is not None and g.order != predicted:

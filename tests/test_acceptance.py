@@ -145,7 +145,7 @@ def test_criterion_5_strictness_witnesses():
 def test_criterion_6_isomorphism_invariance():
     a = ic(build(Dihedral(3)), build(Cyclic(6))).value
     b = ic(
-        build(PermGroup((((1, 2, 3),), ((1, 2),)), 3)),
+        build(PermGroup((((1, 2, 3),), ((1, 2),)))),
         build(Product((Cyclic(2), Cyclic(3)))),
     ).value
     ok = a == b

@@ -27,7 +27,7 @@ def reject_all(*_args):
 def test_isomorphism_witness_is_rechecked(monkeypatch):
     monkeypatch.setattr(grpinv.iso, "is_embedding", reject_all)
     with pytest.raises(CheckFailed):
-        are_isomorphic(build(Dihedral(3)), build(PermGroup((((1, 2, 3),), ((1, 2),)), 3)))
+        are_isomorphic(build(Dihedral(3)), build(PermGroup((((1, 2, 3),), ((1, 2),)))))
 
 
 def test_embedding_witness_is_rechecked(monkeypatch):

@@ -46,8 +46,8 @@ def test_parse_examples():
     assert parse_spec("Q8") == GeneralizedQuaternion(8)
     assert parse_spec("C2 * C3") == parse_spec("C2xC3") == Product((Cyclic(2), Cyclic(3)))
     assert parse_spec(" C2  x C2 x C3 ") == Product((Cyclic(2), Cyclic(2), Cyclic(3)))
-    assert parse_spec("Perm[(1 2 3);(1 2)]") == PermGroup((((1, 2, 3),), ((1, 2),)), 3)
-    assert parse_spec("Perm[(1 2)(3 4)]") == PermGroup((((1, 2), (3, 4)),), 4)
+    assert parse_spec("Perm[(1 2 3);(1 2)]") == PermGroup((((1, 2, 3),), ((1, 2),)))
+    assert parse_spec("Perm[(1 2)(3 4)]") == PermGroup((((1, 2), (3, 4)),))
 
 
 def test_parse_perm_edge_forms():
@@ -67,7 +67,17 @@ def test_trivial_group_end_to_end(capsys):
 
 
 def test_parse_errors_carry_offsets():
-    for text, offset in [("C", 1), ("Zx", 0), ("C2 x", 4), ("C2 ^", 4), ("SD(3 2)", 4)]:
+    for text, offset in [
+        ("C", 1),
+        ("Zx", 0),
+        ("C2 x", 4),
+        ("C2 ^", 4),
+        ("SD(3 2)", 4),
+        ("Perm[x]", 5),
+        # a generator after a ';' reports offsets from its own start
+        ("Perm[(1 2);x]", 11),
+        ("Perm[(1 2);(3 4)(5 a)]", 16),
+    ]:
         with pytest.raises(ParseError) as err:
             parse_spec(text)
         assert err.value.offset == offset, text
@@ -83,8 +93,12 @@ def test_parse_print_round_trip():
     for spec in corpus_specs(24):
         normal = normalize_spec(spec)
         assert parse_spec(spec_text(normal)) == normal
-    perm = PermGroup((((1, 2, 3), (4, 5)), ((1, 2),)), 5)
-    assert parse_spec(spec_text(perm)) == perm
+    # a Perm spec is its cycles, whichever points they name
+    for perm in (
+        PermGroup((((1, 2, 3), (4, 5)), ((1, 2),))),
+        PermGroup((((3, 5), (7, 9)),)),
+    ):
+        assert parse_spec(spec_text(perm)) == perm
 
 
 # small atoms and their orders
@@ -96,7 +110,7 @@ _ATOMS = {
     Dihedral(3): 6,
     GeneralizedQuaternion(8): 8,
     SemidirectPQ(3, 2): 6,
-    PermGroup((((1, 2, 3),), ((1, 2),)), 3): 6,
+    PermGroup((((1, 2, 3),), ((1, 2),))): 6,
 }
 
 

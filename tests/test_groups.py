@@ -24,11 +24,8 @@ from grpinv.groups import (
     _maximal,
     _validate_table,
     build,
-    build_semidirect_pq,
     cycles_to_perm,
     finite,
-    from_permutation_generators,
-    perm_cycles,
     spec_text,
 )
 from grpinv.invariants import ic, validate_optimal_ic_certificate
@@ -80,10 +77,10 @@ def test_dihedral_presentation_relations():
 def test_semidirect_examples():
     from grpinv.iso import are_isomorphic
 
-    g = build_semidirect_pq(3, 2)
+    g = build(SemidirectPQ(3, 2))
     assert are_isomorphic(g, build(Dihedral(3))) is not None
-    assert are_isomorphic(build_semidirect_pq(5, 2), build(Dihedral(5))) is not None
-    f21 = build_semidirect_pq(7, 3)
+    assert are_isomorphic(build(SemidirectPQ(5, 2)), build(Dihedral(5))) is not None
+    f21 = build(SemidirectPQ(7, 3))
     assert spectrum_by_iteration(f21) == {1: 1, 3: 14, 7: 6}
     assert not f21.is_abelian
 
@@ -132,10 +129,11 @@ def reference_semidirect_table(q, p):
 
 
 def test_row_wise_tables_match_the_entry_loops():
+    # one builder over (h, z): z = 0 gives D_h, z = h/2 gives Q_2h
     for n in range(3, 65):
-        assert groups._dihedral_table(n) == reference_dihedral_table(n)
+        assert groups._inverting_table(n, 0) == reference_dihedral_table(n)
     for m in (8, 16, 32, 64):
-        assert groups._quaternion_table(m) == reference_quaternion_table(m)
+        assert groups._inverting_table(m // 2, m // 4) == reference_quaternion_table(m)
     pairs = [
         (q, p)
         for q in range(3, 64)
@@ -145,7 +143,7 @@ def test_row_wise_tables_match_the_entry_loops():
     assert len(pairs) == 14
     for q, p in pairs:
         expected = tuple(map(tuple, reference_semidirect_table(q, p)))
-        assert build_semidirect_pq(q, p).table == expected
+        assert build(SemidirectPQ(q, p)).table == expected
 
 
 def reference_product_table(g, h):
@@ -167,7 +165,7 @@ def test_row_sliced_product_tables_match_the_entry_loop():
         (c2_5, c2),
         (build(Dihedral(4)), build(GeneralizedQuaternion(8))),
         (build(Dihedral(3)), build(Cyclic(4))),
-        (build_semidirect_pq(7, 3), build(Cyclic(3))),
+        (build(SemidirectPQ(7, 3)), build(Cyclic(3))),
         (build(Cyclic(25)), build(Cyclic(5))),
     ]
     for g, h in pairs:
@@ -177,11 +175,11 @@ def test_row_sliced_product_tables_match_the_entry_loop():
 
 def test_semidirect_rejects_bad_parameters():
     with pytest.raises(InvalidSpec):
-        build_semidirect_pq(5, 3)  # 3 does not divide 4
+        build(SemidirectPQ(5, 3))  # 3 does not divide 4
     with pytest.raises(InvalidSpec):
-        build_semidirect_pq(7, 4)
+        build(SemidirectPQ(7, 4))
     with pytest.raises(InvalidSpec):
-        build_semidirect_pq(3, 3)
+        build(SemidirectPQ(3, 3))
 
 
 def test_quaternion_has_unique_involution():
@@ -193,7 +191,10 @@ def test_quaternion_has_unique_involution():
 
 def test_invalid_family_parameters():
     for spec in (Dihedral(2), Dihedral(0), GeneralizedQuaternion(4),
-                 GeneralizedQuaternion(12), Cyclic(0), Product(())):
+                 GeneralizedQuaternion(12), Cyclic(0), Product(()),
+                 # a Perm point must be >= 1 and appear once per generator
+                 PermGroup((((0, 1),),)), PermGroup((((-1, 2),),)),
+                 PermGroup((((1, 2, 1),),)), PermGroup((((1, 2),), ((2, 3, 2),)))):
         with pytest.raises(InvalidSpec):
             build(spec)
 
@@ -223,43 +224,21 @@ def test_long_product_fails_before_building_past_the_limit(monkeypatch):
 def test_permutation_closure():
     from grpinv.iso import are_isomorphic
 
-    c3 = from_permutation_generators([(1, 2, 0)])
+    c3 = build(parse_spec("Perm[(1 2 3)]"))
     assert are_isomorphic(c3, build(Cyclic(3))) is not None
-    s3 = from_permutation_generators([(1, 2, 0), (1, 0, 2)])
+    s3 = build(parse_spec("Perm[(1 2 3);(1 2)]"))
     assert s3.order == 6
     assert are_isomorphic(s3, build(Dihedral(3))) is not None
-    assert from_permutation_generators([]).order == 1
-
-
-@pytest.mark.parametrize(
-    "gens, label",
-    [
-        ([(0, 1, 2)], "Perm[()]"),
-        ([], "Perm[]"),
-        ([(1, 0, 3, 2)], "Perm[(1 2)(3 4)]"),
-        ([(1, 2, 0), (1, 0, 2)], "Perm[(1 2 3);(1 2)]"),
-        (
-            [tuple((p + 1) % 7 for p in range(7)), tuple(-p % 7 for p in range(7))],
-            "Perm[(1 2 3 4 5 6 7);(2 7)(3 6)(4 5)]",
-        ),
-    ],
-    ids=["identity", "none", "C2", "S3", "D7"],
-)
-def test_default_permutation_label_is_the_spec_text(gens, label):
-    g = from_permutation_generators(gens)
-    degree = len(gens[0]) if gens else 1
-    assert g.label == spec_text(PermGroup(tuple(map(perm_cycles, gens)), degree)) == label
-    assert build(parse_spec(g.label)).order == g.order
+    assert build(parse_spec("Perm[]")).order == 1
 
 
 def test_permutation_closure_respects_cap():
-    big = tuple(range(1, 9)) + (0,)  # 9-cycle
-    with pytest.raises(OrderLimitExceeded):
-        from_permutation_generators([big], max_order=8)
+    with pytest.raises(OrderLimitExceeded, match="permutation closure exceeds max order 8"):
+        build(parse_spec("Perm[(1 2 3 4 5 6 7 8 9)]"), max_order=8)
 
 
 def test_perm_group_spec_build():
-    g = build(PermGroup((((1, 2, 3),), ((1, 2),)), 3))
+    g = build(PermGroup((((1, 2, 3),), ((1, 2),))))
     assert g.order == 6
     assert g.label == "Perm[(1 2 3);(1 2)]"
 
@@ -278,12 +257,14 @@ def test_perm_group_spec_build():
 )
 def test_perm_group_acts_on_its_named_points(text):
     # the table on the named points, relabelled in ascending order, is the
-    # table on all of 1..degree: the points no cycle names are fixed
+    # table on all of 1..degree, degree the largest named point: the points
+    # no cycle names are fixed
     spec = parse_spec(text)
-    full = [cycles_to_perm(cycles, range(1, spec.degree + 1)) for cycles in spec.generators]
+    degree = max((pt for cycles in spec.generators for cyc in cycles for pt in cyc), default=1)
+    full = [cycles_to_perm(cycles, range(1, degree + 1)) for cycles in spec.generators]
     g = build(spec)
     assert g.label == text
-    assert g.table == from_permutation_generators(full, spec.degree, label=text).table
+    assert g.table == tuple(groups._perm_table(full, degree, groups.DEFAULT_MAX_ORDER))
 
 
 def test_element_order_examples():
@@ -311,7 +292,7 @@ def test_cyclic_totient_counts(n):
         GeneralizedQuaternion(16),
         SemidirectPQ(7, 3),
         Product((Dihedral(3), Cyclic(4))),
-        PermGroup((((1, 2, 3, 4),), ((1, 3),)), 4),
+        PermGroup((((1, 2, 3, 4),), ((1, 3),))),
     ],
 )
 def test_group_axioms_hold(spec):
@@ -412,7 +393,7 @@ def test_associativity_check_matches_every_triple(spec):
 
 def test_build_is_deterministic():
     for spec in (Dihedral(5), Product((Cyclic(3),) * 2), SemidirectPQ(7, 2),
-                 PermGroup((((1, 2, 3),), ((1, 2),)), 3)):
+                 PermGroup((((1, 2, 3),), ((1, 2),)))):
         assert build(spec).table == build(spec).table
 
 

@@ -142,8 +142,8 @@ def test_certificates_are_sound():
     [
         # S6 is the union of 13 proper subgroups and of no fewer (Abdollahi,
         # Ashraf and Shaker, 2007)
-        (PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),)), 6), 13),
-        (PermGroup((((1, 2, 3),), ((2, 3, 4, 5, 6),)), 6), 16),
+        (PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),))), 13),
+        (PermGroup((((1, 2, 3),), ((2, 3, 4, 5, 6),))), 16),
     ],
     ids=["S6", "A6"],
 )
@@ -171,6 +171,46 @@ def test_sigma_of_psl2(spec, value, subgroups):
     assert report.value == finite(value)
     assert len(report.certificate) == value
     assert certificate_sound(report)
+
+
+@pytest.mark.parametrize(
+    "spec, value",
+    [
+        ("Perm[(1 2 3);(2 3 4)]", 5),
+        ("Perm[(1 2 3 4);(1 2)]", 4),
+        ("Perm[(1 2 3);(3 4 5)]", 10),
+        ("Perm[(1 2 3 4 5);(1 2)]", 16),
+    ],
+    ids=["A4", "S4", "A5", "S5"],
+)
+def test_sigma_of_small_alternating_and_symmetric_groups(spec, value):
+    # Cohn (1994): sigma(A4) = 5, sigma(S4) = 4, sigma(A5) = 10, sigma(S5) = 16
+    report = sigma(build(parse_spec(spec)))
+    assert report.value == finite(value)
+    assert certificate_sound(report)
+
+
+def is_prime_power(n):
+    """Whether n >= 2 is a power of its least prime factor."""
+    q = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % q == 0:
+        n //= q
+    return n == 1
+
+
+def test_sigma_of_solvable_groups_is_one_more_than_a_prime_power():
+    # Tomkinson (1997): sigma(G) - 1 is a prime power for solvable G, and no
+    # group has sigma(G) = 7.  Every group of the corpus is solvable.
+    checked = 0
+    for e in corpus(48):
+        if e.group.is_cyclic:
+            continue
+        report = sigma(e.group)
+        assert is_prime_power(report.value.value - 1), (e.group.label, report.value)
+        assert report.value != finite(7), e.group.label
+        assert certificate_sound(report), e.group.label
+        checked += 1
+    assert checked == 95
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +286,7 @@ def test_ic_one_iff_embeds():
 def test_ic_isomorphism_invariance():
     a = ic(build(Dihedral(3)), build(Cyclic(6))).value
     b = ic(
-        build(PermGroup((((1, 2, 3),), ((1, 2),)), 3)),
+        build(PermGroup((((1, 2, 3),), ((1, 2),)))),
         build(Product((Cyclic(2), Cyclic(3)))),
     ).value
     assert a == b == finite(4)
@@ -334,6 +374,34 @@ def test_ic_c2_7_into_c2_3_is_nineteen():
     assert tuple(e.subgroup.mask for e in report.certificate) == C2_7_INTO_C2_3_MASKS
     assert certificate_sound(report)
     assert validate_optimal_ic_certificate(report)
+
+
+def beutelspacher_cover(p, n, k):
+    """Least number of k-dimensional subspaces that cover GF(p)^n
+    (Beutelspacher, 1979), for 1 <= k < n."""
+    if n % k == 0:
+        return (p**n - 1) // (p**k - 1)
+    r = n % k
+    return (p**n - p ** (k + r)) // (p**k - 1) + p**r + 1
+
+
+BEUTELSPACHER_CASES = (
+    [(2, n, k) for n in range(2, 7) for k in range(1, n)]
+    + [(3, n, k) for n in range(2, 5) for k in range(1, n)]
+    + [(5, 2, 1), (5, 3, 1), (5, 3, 2), (7, 2, 1)]
+    # C2^7 into C2^3 has its own test above
+    + [(2, 7, 1), (2, 7, 5), (2, 7, 6)]
+)
+
+
+@pytest.mark.parametrize(
+    "p, n, k", BEUTELSPACHER_CASES, ids=[f"C{p}^{n};C{p}^{k}" for p, n, k in BEUTELSPACHER_CASES]
+)
+def test_ic_of_elementary_abelian_groups_follows_beutelspacher(p, n, k):
+    # a subgroup of C_p^n embeds in C_p^k iff its dimension is at most k
+    report = ic(build(Product((Cyclic(p),) * n)), build(Product((Cyclic(p),) * k)))
+    assert report.value == finite(beutelspacher_cover(p, n, k))
+    assert certificate_sound(report)
 
 
 S4 = "Perm[(1 2 3 4);(1 2)]"
@@ -609,7 +677,7 @@ def test_subadditivity_example_and_partition_errors():
     h = build(Cyclic(2))
     twos = [s for s in all_subgroups(g).all if s.order == 2]
     assert check_subadditivity(g, h, *twos)
-    s3 = build(PermGroup((((1, 2, 3),), ((1, 2),)), 3))
+    s3 = build(PermGroup((((1, 2, 3),), ((1, 2),))))
     lat = all_subgroups(s3)
     c3 = next(s for s in lat.all if s.order == 3)
     c2s = [s for s in lat.all if s.order == 2]

@@ -74,7 +74,7 @@ def test_are_isomorphic_examples():
     assert are_isomorphic(build(Cyclic(6)), build(Product((Cyclic(2), Cyclic(3))))) is not None
     assert are_isomorphic(build(Cyclic(4)), build(Product((Cyclic(2),) * 2))) is None
     d3 = build(Dihedral(3))
-    s3 = build(PermGroup((((1, 2, 3),), ((1, 2),)), 3))
+    s3 = build(PermGroup((((1, 2, 3),), ((1, 2),))))
     w = are_isomorphic(d3, s3)
     assert w is not None and is_embedding(d3, s3, w)
     assert exhaustive_isomorphism_exists(d3, s3)

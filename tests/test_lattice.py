@@ -43,11 +43,11 @@ from grpinv.lattice import (
 )
 from test_store import _relabelled
 
-S4 = PermGroup((((1, 2, 3, 4),), ((1, 2),)), 4)
-A5 = PermGroup((((1, 2, 3),), ((3, 4, 5),)), 5)
-S5 = PermGroup((((1, 2, 3, 4, 5),), ((1, 2),)), 5)
-A6 = PermGroup((((1, 2, 3),), ((2, 3, 4, 5, 6),)), 6)
-S6 = PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),)), 6)
+S4 = PermGroup((((1, 2, 3, 4),), ((1, 2),)))
+A5 = PermGroup((((1, 2, 3),), ((3, 4, 5),)))
+S5 = PermGroup((((1, 2, 3, 4, 5),), ((1, 2),)))
+A6 = PermGroup((((1, 2, 3),), ((2, 3, 4, 5, 6),)))
+S6 = PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),)))
 
 
 def brute_force_subgroup_masks(g):

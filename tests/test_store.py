@@ -127,7 +127,7 @@ def test_store_and_caches_keep_to_the_cap():
     [
         Product((Cyclic(2), Cyclic(2), Cyclic(4))),
         Product((Dihedral(4), Cyclic(2), Cyclic(2))),
-        PermGroup((((1, 2, 3, 4),), ((1, 2),)), 4),
+        PermGroup((((1, 2, 3, 4),), ((1, 2),))),
     ],
 )
 def test_stored_subgroup_tables_are_the_groups_as_group_labels(spec):
