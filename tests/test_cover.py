@@ -1,7 +1,9 @@
 """Exact cover solver against exhaustive subset search."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -413,6 +415,119 @@ def test_a_symmetry_that_leaves_the_candidates_raises():
         min_cover(inst._replace(symmetries=((0,) * 8,)))
 
 
+def test_symmetries_are_checked_before_the_weights_read_them():
+    # counting bound 2, greedy 4: the weights read the symmetries before
+    # any orbit walk does, so a bad one must be refused before them
+    inst = make_instance(6, point_masks([{0, 1, 2}, {3}, {4}, {5}]), [(1, 2, 0, 4, 5, 3)])
+    assert min_cover(inst) == CoverSolution(finite(4), (0, 1, 2, 3))
+    for bad in ((0,) * 6, (1, 2, 0, 4, 5, 3, 6), (1, 2, 0, 4, 5)):
+        with pytest.raises(CheckFailed, match="not a permutation"):
+            min_cover(inst._replace(symmetries=(bad,)))
+
+
+def counting_bound(inst):
+    return -(-inst.universe_size // max(m.bit_count() for m in inst.masks))
+
+
+def two_cycle_instance(rng):
+    """Random sets with all their images under one shift that turns two
+    cycles of points at once, of lengths a and b, with the shift as the
+    instance's symmetry: the two cycles are its point orbits.  Drawn until
+    the sets cover the points and the counting bound is below the
+    optimum."""
+    while True:
+        a, b = rng.randint(1, 6), rng.randint(2, 6)
+        universe = a + b
+        shift = [(p + 1) % a for p in range(a)] + [a + (p + 1) % b for p in range(b)]
+        sets = []
+        for _ in range(rng.randint(1, 4)):
+            image = set(rng.sample(range(universe), rng.randint(1, min(universe, 3))))
+            for _ in range(math.lcm(a, b)):
+                sets.append(image)
+                image = {shift[p] for p in image}
+        rng.shuffle(sets)
+        inst = make_instance(universe, point_masks(sets), [shift])
+        if inst.feasible and reference_min_cover(inst).value.value > counting_bound(inst):
+            return inst
+
+
+def test_orbit_weights_match_the_plain_search_and_reference(monkeypatch):
+    above = []  # per solve, whether ceil(tau*) is above the counting bound
+    real = grpinv.cover._orbit_weights
+
+    def counted(inst):
+        weights, scale = real(inst)
+        tau = sum(w * o.bit_count() for o, w in weights)
+        above.append(tau > counting_bound(inst) * scale)
+        return weights, scale
+
+    monkeypatch.setattr(grpinv.cover, "_orbit_weights", counted)
+    rng = random.Random(0x2C1C)
+    for _ in range(150):
+        inst = two_cycle_instance(rng)
+        sol = min_cover(inst)
+        assert sol == min_cover(inst._replace(symmetries=None)) == reference_min_cover(inst)
+    # every instance solves the LP, and on most the weights lift the bound
+    assert len(above) == 150 and sum(above) > 100
+
+
+def _fractional_dual_reference(sizes, profiles):
+    """max sum(sizes[k] * y[k]) subject to y >= 0 and sum(cnt[k] * y[k]) <= 1
+    for every profile, over the vertices: every choice of K tight
+    constraints, solved in fractions."""
+    k = len(sizes)
+    rows = [(tuple(int(j == i) for j in range(k)), 0) for i in range(k)]  # y_i >= 0
+    rows += [(cnt, 1) for cnt in profiles]
+    best = None
+    for tight in itertools.combinations(rows, k):
+        a = [[Fraction(x) for x in cnt] + [Fraction(rhs)] for cnt, rhs in tight]
+        for col in range(k):
+            piv = next((i for i in range(col, k) if a[i][col]), None)
+            if piv is None:
+                break
+            a[col], a[piv] = a[piv], a[col]
+            for i in range(k):
+                if i != col and a[i][col]:
+                    f = a[i][col] / a[col][col]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+        else:
+            y = [a[i][k] / a[i][i] for i in range(k)]
+            if min(y) >= 0 and all(sum(c * v for c, v in zip(cnt, y)) <= 1 for cnt in profiles):
+                value = sum(s * v for s, v in zip(sizes, y))
+                best = value if best is None else max(best, value)
+    return best
+
+
+def test_fractional_dual_is_exact_and_optimal():
+    rng = random.Random(0x7A05)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        sizes = [rng.randint(1, 12) for _ in range(k)]
+        profiles = [tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(1, 6))]
+        profiles += [tuple(int(j == i) for j in range(k)) for i in range(k)]  # bounded
+        weights, scale = grpinv.cover._fractional_dual(sizes, profiles)
+        assert scale >= 1 and min(weights) >= 0
+        assert all(sum(map(int.__mul__, weights, cnt)) <= scale for cnt in profiles)
+        value = Fraction(sum(map(int.__mul__, sizes, weights)), scale)
+        assert value == _fractional_dual_reference(sizes, profiles)
+
+
+def test_an_orbit_weight_one_unit_too_heavy_raises(monkeypatch):
+    inst = make_instance(6, point_masks([{0, 1, 2}, {3}, {4}, {5}]), [(1, 2, 0, 4, 5, 3)])
+    real = grpinv.cover._fractional_dual
+    weights, scale = real([3, 3], [(3, 0), (0, 1)])
+    assert (weights, scale) == ([1, 3], 3)  # tau* = 4, the optimum
+
+    def heavy(sizes, profiles):
+        weights, scale = real(sizes, profiles)
+        weights[weights.index(max(weights))] += 1
+        return weights, scale
+
+    monkeypatch.setattr(grpinv.cover, "_fractional_dual", heavy)
+    with pytest.raises(CheckFailed, match="above weight 1"):
+        min_cover(inst)
+
+
 def _captured_instances(monkeypatch, queries):
     """The cover instances that the invariant queries hand to min_cover."""
     captured = []
@@ -434,7 +549,10 @@ COVER_PAIRS = (
 )
 
 
-def test_automorphisms_leave_every_solution_unchanged(monkeypatch):
+@pytest.fixture(scope="module")
+def automorphism_instances():
+    """The instances of sigma, sigma_c and IC over corpus(12), and of the
+    `cover` benchmark's pairs, with the automorphisms as symmetries."""
     groups = [e.group for e in corpus(12)]
     queries = [lambda g=g: sigma(g) for g in groups]
     queries += [lambda g=g: sigma_c(g) for g in groups]
@@ -442,23 +560,54 @@ def test_automorphisms_leave_every_solution_unchanged(monkeypatch):
     queries += [
         lambda a=a, b=b: ic(build(parse_spec(a)), build(parse_spec(b))) for a, b in COVER_PAIRS
     ]
-    captured = _captured_instances(monkeypatch, queries)
+    with pytest.MonkeyPatch.context() as mp:
+        captured = _captured_instances(mp, queries)
     assert len(captured) > 50
-    for inst in captured:
+    return captured
+
+
+def test_automorphisms_leave_every_solution_unchanged(automorphism_instances):
+    for inst in automorphism_instances:
         assert inst.symmetries is not None
         sol = min_cover(inst)
         assert sol == min_cover(inst._replace(symmetries=None)) == reference_min_cover(inst)
 
 
+def test_orbit_weights_pass_the_gate_and_bound_the_optimum(automorphism_instances):
+    # rechecked here without the gate's code: no kept candidate weighs
+    # more than D, so r members cover weight at most r * D, and so
+    # ceil(tau*) <= the optimum
+    several = 0
+    for inst in automorphism_instances:
+        if not inst.feasible:
+            continue
+        weights, scale = grpinv.cover._orbit_weights(inst)
+        assert scale >= 1 and all(w > 0 for _, w in weights)
+        for m in inst.masks:
+            assert sum(w * (m & o).bit_count() for o, w in weights) <= scale
+        tau = sum(w * o.bit_count() for o, w in weights)
+        assert tau <= min_cover(inst).value.value * scale
+        several += bool(weights)
+    assert several > 20
+
+
 @pytest.mark.parametrize(
     "g, h, nodes",
-    [("C2^2xC4^2", "C4^2", 2_000), ("C2^2xC4^2", "C4^2", 600), ("C2^3xC4", "C4xC2", 300)],
+    [
+        ("C2^2xC4^2", "C4^2", 2_000),
+        ("C2^2xC4^2", "C4^2", 600),
+        # the counting bound is 6 and the optimum 8; without the weights
+        # every budget from 20 to 40 ends in "optimum in [7, 8]"
+        ("C2^2xC4^2", "C4^2", 40),
+        ("C2^3xC4", "C4xC2", 300),
+    ],
 )
 def test_orbit_pruning_fits_ic_in_a_small_budget(g, h, nodes):
     # a failed probe ruling out its images under the automorphisms that fix
     # its prefix, at the root of the value searches and in the certificate
-    # pass, and the greedy cover as the certificate's first witness: 520
-    # and 235 nodes (test_symmetries_alone_prune_the_root)
+    # pass, the greedy cover as the certificate's first witness, and the
+    # fractional-cover weights on the point orbits: 19 and 187 nodes
+    # (test_symmetries_alone_prune_the_root)
     assert ic(build(parse_spec(g)), build(parse_spec(h)), node_budget=nodes).value.is_finite
 
 
@@ -467,8 +616,9 @@ def test_orbit_pruning_fits_ic_in_a_small_budget(g, h, nodes):
 )
 def test_symmetries_alone_prune_the_root(monkeypatch, g, h, nodes):
     # without the symmetries no failed probe rules out its images, at the
-    # root of a value search or in the certificate pass: 3,481 and 1,426
-    # nodes, against 520 and 235 with them
+    # root of a value search or in the certificate pass, and there are no
+    # point orbits to weigh: 3,481 and 1,426 nodes, against 19 and 187 with
+    # them
     g, h = build(parse_spec(g)), build(parse_spec(h))
     (inst,) = _captured_instances(monkeypatch, [lambda: ic(g, h)])
     assert min_cover(inst, node_budget=nodes) == reference_min_cover(inst)
