@@ -33,7 +33,7 @@ from .groups import (
 )
 from .invariants import InvariantReport, ic, sigma, sigma_c
 from .iso import embeds
-from .lattice import all_subgroups, cyclic_subgroups
+from .lattice import all_subgroups, cyclic_subgroups, maximal_cyclic_subgroups
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +50,6 @@ class _Scanner:
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take(self, literal: str) -> bool:
         if self.text.startswith(literal, self.pos):
@@ -134,14 +131,14 @@ def _parse_atom(s: _Scanner) -> GroupSpec:
 def _parse_repeated(s: _Scanner) -> tuple[GroupSpec, int]:
     atom = _parse_atom(s)
     s.skip_ws()
-    if s.peek() == "^":
-        s.pos += 1
-        s.skip_ws()
-        e = s.integer()
-        if e < 1:
-            raise ParseError("power exponent must be >= 1", s.pos)
-        return atom, e
-    return atom, 1
+    if not s.take("^"):
+        return atom, 1
+    s.skip_ws()
+    start = s.pos
+    e = s.integer()
+    if e < 1:
+        raise ParseError("power exponent must be >= 1", start)
+    return atom, e
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -249,7 +246,7 @@ def _cmd_lattice(args) -> int:
     spec = parse_spec(args.spec)
     g = build(spec, max_order=args.max_order)
     if args.cyclic and args.maximal:
-        subs = list(all_subgroups(g).maximal_cyclic_subgroups)
+        subs = maximal_cyclic_subgroups(g)
     elif args.cyclic:
         subs = cyclic_subgroups(g)
     elif args.maximal:

@@ -37,6 +37,7 @@ from .lattice import (
     as_group,
     closure,
     make_subgroup,
+    maximal_cyclic_subgroups,
 )
 
 
@@ -64,50 +65,37 @@ class InvariantReport(
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _points(g: FiniteGroup) -> tuple[dict[int, int], int, tuple[tuple[int, ...], ...]]:
-    """The cover's points, the maximal cyclic subgroups of G: the bit of
-    each point keyed by one generator of it, the mask of those generators,
-    and each of the lattice's automorphisms as the permutation it induces
-    on the points.  An automorphism maps a generator of <x> to a generator
-    of the image point, so each point costs one lookup per map.  Keyed by
-    table, like the lattice, so the sigma, sigma_c and IC instances of a
-    group share them; the dict is not to be changed."""
-    lat, order = all_subgroups(g), g.elem_order
-    point = {}  # each generator of a point -> the point's index
-    first = []  # one generator per point
-    for j, pt in enumerate(lat.maximal_cyclic_subgroups):
+def _points(g: FiniteGroup) -> tuple[tuple[Subgroup, ...], dict[int, int], dict[int, int]]:
+    """The cover's points, `maximal_cyclic_subgroups(g)`; each generator of
+    a point keyed to the point's index; and one generator per point, in
+    point order, keyed to the point's bit.  Keyed by table, so the sigma,
+    sigma_c and IC instances of a group share them; the dicts are not to
+    be changed."""
+    points, order = tuple(maximal_cyclic_subgroups(g)), g.elem_order
+    index = {}
+    bit = {}
+    for j, pt in enumerate(points):
         gens = [x for x in _bits(pt.mask) if order[x] == pt.order]
         for x in gens:
-            point[x] = j
-        first.append(gens[0])
-    return (
-        {x: 1 << j for j, x in enumerate(first)},
-        sum(1 << x for x in first),
-        tuple(
-            tuple(map(point.__getitem__, map(phi.__getitem__, first)))
-            for phi in lat.automorphisms
-        ),
-    )
+            index[x] = j
+        bit[gens[0]] = 1 << j
+    return points, index, bit
 
 
-def _point_sets(g: FiniteGroup, candidates) -> list[int]:
-    """For each candidate, the bitmask of the points it contains.
-
-    A point is a cyclic subgroup <x>, and a subgroup contains <x> exactly
-    when it holds x, so each candidate's points are read off the bits of its
-    mask ANDed with the mask of one generator per point.
-    """
-    bit, generators, _ = _points(g)
-    return [sum(map(bit.__getitem__, _bits(c.mask & generators))) for c in candidates]
-
-
-def _solve(kind, g, target, candidates, entry, node_budget):
+def _solve(kind, g, target, candidates, entry, node_budget, automorphisms=()):
     """Least cover of the points by the candidates; `entry` makes the
     CertEntry of a candidate, and is called for the certificate's members
-    only.  The automorphisms of G permute the points and the candidates, so
-    the maps go along as the symmetries that prune the cover search."""
+    only.  A subgroup contains the point <x> exactly when it holds x, so a
+    candidate's points are the bits of its mask at one generator per point.
+    Each of the `automorphisms` of G maps a generator of a point to one of
+    the image point, and permutes the candidates too, so they go along as
+    the symmetries that prune the cover search."""
+    _, index, bit = _points(g)
+    generators = sum(1 << x for x in bit)
     inst = make_instance(
-        len(all_subgroups(g).maximal_cyclic_subgroups), _point_sets(g, candidates), _points(g)[2]
+        len(bit),
+        [sum(map(bit.__getitem__, _bits(c.mask & generators))) for c in candidates],
+        [tuple(map(index.__getitem__, map(phi.__getitem__, bit))) for phi in automorphisms],
     )
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:
@@ -126,15 +114,18 @@ def sigma(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantRe
     """
     if g.is_cyclic:
         return InvariantReport("sigma", g, None, INFINITE, None, "G_cyclic")
-    return _solve("sigma", g, None, all_subgroups(g).maximal_subgroups, CertEntry, node_budget)
+    lat = all_subgroups(g)
+    candidates = lat.maximal_subgroups
+    return _solve("sigma", g, None, candidates, CertEntry, node_budget, lat.automorphisms)
 
 
 def sigma_c(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
-    """Cyclic covering number: least cover of G by proper cyclic subgroups."""
+    """Cyclic covering number: least cover of G by proper cyclic subgroups.
+    The candidates are the points, with no lattice and no symmetry: each
+    holds one point, so greedy meets the counting bound."""
     if g.is_cyclic:
         return InvariantReport("sigma_c", g, None, INFINITE, None, "G_cyclic")
-    candidates = all_subgroups(g).maximal_cyclic_subgroups
-    return _solve("sigma_c", g, None, candidates, CertEntry, node_budget)
+    return _solve("sigma_c", g, None, _points(g)[0], CertEntry, node_budget)
 
 
 def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
@@ -176,7 +167,7 @@ def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -
             raise CheckFailed(f"{g.label}|{s.order}@{s.mask:x} does not embed in {h.label}")
         return CertEntry(s, w)
 
-    return _solve("ic", g, h, candidates, witnessed, node_budget)
+    return _solve("ic", g, h, candidates, witnessed, node_budget, lat.automorphisms)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

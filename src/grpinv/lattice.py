@@ -1,4 +1,4 @@
-"""Subgroup enumeration: cyclic atoms, join-closure lattice, maximal strata.
+"""Subgroup enumeration: cyclic atoms, join-closure lattice, maximal subgroups.
 
 A subgroup is stored as one bitmask over the parent group's element indices,
 and `Subgroup.members` derives its elements from the mask, ascending, when a
@@ -50,9 +50,11 @@ them.  So one walk decides the maximal members of any family of subgroups
 closed under subgroups and automorphisms (`_maximal_orbits`).  It takes
 the representatives from the largest down: one with a join in an admitted
 orbit is in the family but not maximal; any other is asked once, and if
-it is admitted, its whole orbit is maximal.  The strata are the maximal
-proper and the maximal cyclic subgroups, and `ic`'s candidates are the
-maximal proper subgroups that embed in the target.
+it is admitted, its whole orbit is maximal.  The walk decides two
+families: the lattice's one stratum, the maximal proper subgroups, and
+`ic`'s candidates, the maximal proper subgroups that embed in the target.
+The maximal cyclic subgroups need no lattice: `maximal_cyclic_subgroups`
+filters `cyclic_subgroups` by inclusion.
 """
 
 from __future__ import annotations
@@ -103,11 +105,11 @@ class SubgroupLattice(
     Record,
     namedtuple(
         "SubgroupLattice",
-        "all maximal_subgroups maximal_cyclic_subgroups orbit joins automorphisms",
+        "all maximal_subgroups orbit joins automorphisms",
     ),
 ):
-    # the first three each a tuple of Subgroups in canonical order: all of
-    # them and the two strata (see `_maximal_orbits`); orbit maps each
+    # the first two each a tuple of Subgroups in canonical order: all of
+    # them and the one stratum (see `_maximal_orbits`); orbit maps each
     # subgroup's mask to the mask of its orbit's representative, and joins
     # maps each representative's mask to the distinct masks of S v <c> for
     # the atoms <c> outside S (none for G); both read-only; automorphisms
@@ -172,10 +174,16 @@ def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
 
 def maximal_filter(subgroups) -> list[Subgroup]:
-    """The subgroups that lie in no other one, in the order given: the
-    reference, over every subgroup, for `_maximal_orbits`."""
+    """The subgroups that lie in no other one, in the order given; over every
+    subgroup, the tests' reference for `_maximal_orbits`."""
     subgroups = list(subgroups)
     return [subgroups[i] for i in _maximal([s.mask for s in subgroups])]
+
+
+def maximal_cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """The maximal cyclic subgroups of G, in canonical order, without the
+    lattice: the points of every cover instance and sigma_c's candidates."""
+    return maximal_filter(cyclic_subgroups(g))
 
 
 def _maximal_orbits(ordered, orbit, joins, admissible) -> list[Subgroup]:
@@ -336,7 +344,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     join of prime index over S are skipped for S: they would return that
     join again.  So are the conjugates t*c*t^-1, for t in S, of an atom <c>
     already joined, found by a walk over the generators of S: they give
-    S v <c> again.  The recorded joins decide the strata one orbit at a time.
+    S v <c> again.  The recorded joins decide the maximal subgroups per orbit.
     Cached by table, so relabelled copies of a group share one lattice.
     """
     table = g.table
@@ -458,7 +466,6 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     return SubgroupLattice(
         ordered,
         tuple(_maximal_orbits(ordered, representative, joins, lambda s: s.is_proper)),
-        tuple(_maximal_orbits(ordered, representative, joins, lambda s: s.is_cyclic)),
         MappingProxyType(representative),
         MappingProxyType({r: tuple(js) for r, js in joins.items()}),
         maps,

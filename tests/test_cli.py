@@ -72,6 +72,9 @@ def test_parse_errors_carry_offsets():
         ("Zx", 0),
         ("C2 x", 4),
         ("C2 ^", 4),
+        # a zero exponent is reported where the exponent starts
+        ("C2^0", 3),
+        ("C2 ^ 0", 5),
         ("SD(3 2)", 4),
         ("Perm[x]", 5),
         # a generator after a ';' reports offsets from its own start

@@ -552,7 +552,8 @@ COVER_PAIRS = (
 @pytest.fixture(scope="module")
 def automorphism_instances():
     """The instances of sigma, sigma_c and IC over corpus(12), and of the
-    `cover` benchmark's pairs, with the automorphisms as symmetries."""
+    `cover` benchmark's pairs, with the automorphisms as symmetries (none
+    for sigma_c, whose candidates are its points)."""
     groups = [e.group for e in corpus(12)]
     queries = [lambda g=g: sigma(g) for g in groups]
     queries += [lambda g=g: sigma_c(g) for g in groups]

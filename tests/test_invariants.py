@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpinv import invariants
-from grpinv.cli import parse_spec
+from grpinv import invariants, lattice
+from grpinv.cli import main, parse_spec
 from grpinv.corpus import corpus
 from grpinv.errors import BudgetExceeded, InvalidPartition
 from grpinv.groups import (
@@ -43,7 +43,14 @@ from grpinv.invariants import (
     validate_optimal_ic_certificate,
 )
 from grpinv.iso import embeds, spectrum_dominates
-from grpinv.lattice import all_subgroups, as_group, closure, make_subgroup, maximal_filter
+from grpinv.lattice import (
+    all_subgroups,
+    as_group,
+    closure,
+    make_subgroup,
+    maximal_cyclic_subgroups,
+    maximal_filter,
+)
 from test_lattice import RELABEL_GROUPS
 from test_store import _relabelled
 
@@ -117,7 +124,30 @@ def test_sigma_c_equals_maximal_cyclic_count():
         g = e.group
         if g.is_cyclic:
             continue
-        assert sigma_c(g).value == finite(len(all_subgroups(g).maximal_cyclic_subgroups)), g.label
+        assert sigma_c(g).value == finite(len(maximal_cyclic_subgroups(g))), g.label
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_sigma_c_builds_no_subgroup_lattice(capsys):
+    # the points and sigma_c's candidates come from the cyclic subgroups
+    groups = [e.group for e in corpus(32)]
+    groups.append(build(PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),))), max_order=HARD_MAX_ORDER))
+    for g in groups:
+        report = sigma_c(g)
+        assert g.is_cyclic or certificate_sound(report), g.label
+    assert main(["lattice", "Q8", "--cyclic", "--maximal"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3
+    assert all_subgroups.cache_info().misses == 0
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_sigma_c_answers_past_the_subgroup_budget(monkeypatch):
+    # C2^4 has 67 subgroups but only 15 maximal cyclic ones
+    monkeypatch.setattr(lattice, "MAX_SUBGROUPS", 5)
+    g = build(Product((Cyclic(2),) * 4))
+    assert sigma_c(g).value == finite(15)
+    with pytest.raises(BudgetExceeded):
+        sigma(g)
 
 
 def test_sigma_at_least_three_and_below_sigma_c():
@@ -419,29 +449,43 @@ POINT_SET_IC_PAIRS = (
 
 def test_point_sets_match_the_containment_test(monkeypatch):
     """Each candidate's point mask, found through its members, against
-    testing every point for containment."""
-    calls = 0
-    real = invariants._point_sets
+    testing every point for containment; and each symmetry, the image of
+    every point under an automorphism, against mapping the point's
+    elements."""
+    calls = []
+    real_solve, real_make_instance = invariants._solve, invariants.make_instance
 
-    def checked(g, candidates):
-        nonlocal calls
-        calls += 1
-        got = real(g, candidates)
-        universe = all_subgroups(g).maximal_cyclic_subgroups
+    def solve(kind, g, target, candidates, entry, node_budget, automorphisms=()):
+        calls.append((g, candidates, automorphisms))
+        return real_solve(kind, g, target, candidates, entry, node_budget, automorphisms)
+
+    def checked(universe_size, point_masks, symmetries):
+        g, candidates, automorphisms = calls[-1]
+        universe = maximal_cyclic_subgroups(g)
+        assert universe_size == len(universe)
         want = [
             sum(1 << j for j, pt in enumerate(universe) if c.contains(pt)) for c in candidates
         ]
-        assert got == want
-        return got
+        assert point_masks == want
+        index = {pt.mask: j for j, pt in enumerate(universe)}
+        assert symmetries == [
+            tuple(index[sum(1 << phi[a] for a in _bits(pt.mask))] for pt in universe)
+            for phi in automorphisms
+        ]
+        return real_make_instance(universe_size, point_masks, symmetries)
 
-    monkeypatch.setattr(invariants, "_point_sets", checked)
+    monkeypatch.setattr(invariants, "_solve", solve)
+    monkeypatch.setattr(invariants, "make_instance", checked)
     for spec in POINT_SET_GROUPS:
         g = build(parse_spec(spec))
         sigma(g)
         sigma_c(g)
+        # sigma's instance has the lattice's automorphisms, sigma_c's none
+        assert calls[-2][2] == all_subgroups(g).automorphisms and calls[-1][2] == ()
     for gspec, hspec in POINT_SET_IC_PAIRS:
         ic(build(parse_spec(gspec)), build(parse_spec(hspec)))
-    assert calls == 2 * len(POINT_SET_GROUPS) + len(POINT_SET_IC_PAIRS)
+    assert len(calls) == 2 * len(POINT_SET_GROUPS) + len(POINT_SET_IC_PAIRS)
+    assert all(automorphisms for _, _, automorphisms in calls[-len(POINT_SET_IC_PAIRS):])
 
 
 def reference_admissible(g, h):
@@ -474,9 +518,9 @@ def test_ic_candidates_match_the_reference_pass(monkeypatch):
     found = []
     real = invariants._solve
 
-    def capture(kind, g, target, candidates, entry, node_budget):
+    def capture(kind, g, target, candidates, *rest):
         found.append(candidates)
-        return real(kind, g, target, candidates, entry, node_budget)
+        return real(kind, g, target, candidates, *rest)
 
     monkeypatch.setattr(invariants, "_solve", capture)
     for gspec, hspec in POINT_SET_IC_PAIRS:
@@ -496,9 +540,9 @@ def test_ic_candidates_match_the_maximal_filter(monkeypatch):
     found = []
     real = invariants._solve
 
-    def capture(kind, g, target, candidates, entry, node_budget):
+    def capture(kind, g, target, candidates, *rest):
         found.append(candidates)
-        return real(kind, g, target, candidates, entry, node_budget)
+        return real(kind, g, target, candidates, *rest)
 
     monkeypatch.setattr(invariants, "_solve", capture)
     groups = [e.group for e in corpus(16)]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpinv import iso, lattice
+from grpinv.corpus import corpus
 from grpinv.errors import BudgetExceeded
 from grpinv.groups import (
     INFINITE,
@@ -37,6 +38,7 @@ from grpinv.lattice import (
     closure,
     cyclic_subgroups,
     make_subgroup,
+    maximal_cyclic_subgroups,
     maximal_filter,
     split_generators,
     totient_cover_bound,
@@ -175,8 +177,9 @@ def reference_all_subgroups(g):
     """The join loop without the skips by prime index and by conjugate
     atoms, the automorphism orbits or the early exit of `_join`: every
     subgroup is joined with every cyclic atom it does not contain, and each
-    join is closed in full.  Returns the three strata, and the masks of each
-    subgroup's joins by its mask; the reference records no orbits."""
+    join is closed in full.  Returns every subgroup and the maximal proper
+    ones, and the masks of each subgroup's joins by its mask; the reference
+    records no orbits."""
     cyclics = cyclic_subgroups(g)
     atoms = [
         (c.mask, next(a for a in c.members if g.elem_order[a] == c.order))
@@ -204,12 +207,7 @@ def reference_all_subgroups(g):
         frontier = fresh
     ordered = sorted(known.values(), key=Subgroup.sort_key)
     proper = [s for s in ordered if s.is_proper]
-    return (
-        tuple(ordered),
-        tuple(maximal_filter(proper)),
-        tuple(maximal_filter([s for s in ordered if s.is_cyclic])),
-        joins,
-    )
+    return tuple(ordered), tuple(maximal_filter(proper)), joins
 
 
 @pytest.mark.parametrize(
@@ -250,7 +248,7 @@ def test_prime_index_skip_matches_unskipped_joins(spec):
     g = build(spec)
     lat = all_subgroups(g)
     *strata, joins = reference_all_subgroups(g)
-    assert lat[:3] == tuple(strata)
+    assert lat[:2] == tuple(strata)
     # the skipped atoms give joins found already: each representative
     # records the distinct joins with every atom outside it
     for rep, found in lat.joins.items():
@@ -491,17 +489,19 @@ def test_recorded_joins_are_complete(spec):
 
 
 def test_strata_match_the_maximal_filter():
-    # the strata come from the recorded joins, one verdict per orbit; the
-    # filter over every subgroup is the reference
+    # the maximal subgroups come from the recorded joins, one verdict per
+    # orbit, and the maximal cyclic ones from the cyclic subgroups alone;
+    # the filter over every subgroup is the reference
     checked = 0
     for name, spec in ORBIT_GROUPS.items():
-        lat = all_subgroups(build(spec, max_order=HARD_MAX_ORDER))
+        g = build(spec, max_order=HARD_MAX_ORDER)
+        lat = all_subgroups(g)
         if len(lat.all) <= 400:
             checked += 1
             proper = maximal_filter(s for s in lat.all if s.is_proper)
             cyclic = maximal_filter(s for s in lat.all if s.is_cyclic)
             assert lat.maximal_subgroups == tuple(proper), name
-            assert lat.maximal_cyclic_subgroups == tuple(cyclic), name
+            assert maximal_cyclic_subgroups(g) == cyclic, name
     assert checked == len(ORBIT_GROUPS) - 3  # all but C2^7, S6 and C2^4 x C4
 
 
@@ -568,9 +568,12 @@ def test_lattice_of_a_relabelled_table_is_the_relabelled_lattice(data):
         return {(s.mask, s.order, s.is_cyclic) for s in subgroups}
 
     # the orbit partition follows the split generators, and so the labels:
-    # only the three strata are compared
+    # only the subgroups, the maximal ones and the maximal cyclic ones are
+    # compared
     lat, relat = all_subgroups(g), all_subgroups(k)
-    for part, repart in zip(lat[:3], relat[:3]):
+    parts = (*lat[:2], maximal_cyclic_subgroups(g))
+    reparts = (*relat[:2], maximal_cyclic_subgroups(k))
+    for part, repart in zip(parts, reparts):
         assert own(repart) == image(part)
         assert len(repart) == len(part)
 
@@ -642,11 +645,44 @@ def test_maximal_filter_examples():
     assert [s.order for s in top] == [4, 4, 4]
 
 
+def pth_power_maximal_cyclic_masks(g):
+    """The masks of the <x> that no generator of which is y^p for a prime p
+    dividing ord(y): the maximal cyclic subgroups, since a proper subgroup
+    of <y> of order m is generated by (y^k)^p for a prime p dividing
+    ord(y)/m and k = ord(y)/(p*m), where p divides ord(y^k) = p*m."""
+    table, order = g.table, g.elem_order
+    powers = set()
+    for y in range(g.order):
+        for p in range(2, order[y] + 1):
+            if order[y] % p == 0 and all(p % q for q in range(2, p)):
+                x = y
+                for _ in range(p - 1):
+                    x = table[x][y]
+                powers.add(x)
+    masks = set()
+    for s in cyclic_subgroups(g):
+        gens = [x for x in _bits(s.mask) if order[x] == s.order]
+        if powers.isdisjoint(gens):
+            masks.add(s.mask)
+    return masks
+
+
+def test_maximal_cyclic_subgroups_match_the_pth_power_rule():
+    groups = [e.group for e in corpus(64)]
+    groups += [build(S6, max_order=HARD_MAX_ORDER), build(Product((Cyclic(2),) * 8), max_order=256)]
+    for g in groups:
+        got = maximal_cyclic_subgroups(g)
+        assert got == sorted(got, key=Subgroup.sort_key), g.label
+        assert {s.mask for s in got} == pth_power_maximal_cyclic_masks(g), g.label
+        assert all(s.is_cyclic and s.parent_order == g.order for s in got), g.label
+    assert len(maximal_cyclic_subgroups(groups[-1])) == 255
+
+
 def test_maximal_strata():
     c12 = all_subgroups(build(Cyclic(12)))
     assert sorted(s.order for s in c12.maximal_subgroups) == [4, 6]
-    q8 = all_subgroups(build(GeneralizedQuaternion(8)))
-    assert [s.order for s in q8.maximal_cyclic_subgroups] == [4, 4, 4]
+    q8 = build(GeneralizedQuaternion(8))
+    assert [s.order for s in maximal_cyclic_subgroups(q8)] == [4, 4, 4]
 
 
 def test_all_proper_subgroups_cyclic():
@@ -667,8 +703,7 @@ def test_totient_cover_bound():
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
 def test_elementary_abelian_maximal_cyclic_count(p, n):
     g = build(Product((Cyclic(p),) * n))
-    lat = all_subgroups(g)
-    assert len(lat.maximal_cyclic_subgroups) == (p**n - 1) // (p - 1)
+    assert len(maximal_cyclic_subgroups(g)) == (p**n - 1) // (p - 1)
 
 
 def test_totient_bound_dominates_maximal_cyclic_count():
@@ -677,12 +712,12 @@ def test_totient_bound_dominates_maximal_cyclic_count():
     for spec in specs:
         g = build(spec)
         bound = totient_cover_bound(g)
-        count = len(all_subgroups(g).maximal_cyclic_subgroups)
+        count = len(maximal_cyclic_subgroups(g))
         assert finite(count) <= bound
     # strict for Q8: 4 > 3
     q8 = build(GeneralizedQuaternion(8))
     assert totient_cover_bound(q8) == finite(4)
-    assert len(all_subgroups(q8).maximal_cyclic_subgroups) == 3
+    assert len(maximal_cyclic_subgroups(q8)) == 3
 
 
 def test_subgroup_budget(monkeypatch):
@@ -762,8 +797,12 @@ def test_members_are_the_mask_bits_and_strata_share_records(spec):
         assert members == tuple(a for a in range(g.order) if s.mask >> a & 1)
         assert s.order == s.mask.bit_count()
     records = {id(s) for s in lat.all}
-    for s in lat.maximal_subgroups + lat.maximal_cyclic_subgroups:
+    for s in lat.maximal_subgroups:
         assert id(s) in records
+    # the maximal cyclic subgroups come without the lattice, as equal records
+    by_mask = {s.mask: s for s in lat.all}
+    for s in maximal_cyclic_subgroups(g):
+        assert by_mask[s.mask] == s
     # a repeated element counts once
     pair = make_subgroup(g, [0, 0, 1])
     assert pair.order == 2 and pair.members == (0, 1)
