@@ -184,9 +184,9 @@ def _maximal(masks) -> list[int]:
     """Ascending positions of the first occurrence of each nonzero mask that
     no other mask contains.
 
-    The inclusion-maximal filter behind a cover instance's sets, and behind
-    `lattice.maximal_filter`, which finds the maximal cyclic subgroups and
-    is the tests' reference for what the lattice decides per orbit.  Masks
+    The inclusion-maximal filter behind a cover instance's sets, the maximal
+    cyclic subgroups of `lattice._census`, and `lattice.maximal_filter`, the
+    tests' reference for what the lattice decides per orbit.  Masks
     go from the largest popcount down, and each is checked against the kept
     masks of larger popcount: distinct masks of one popcount never contain
     each other.

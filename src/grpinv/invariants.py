@@ -4,6 +4,9 @@ plus the inequality checkers the verify sweep replays.
 The cover universe is always the set of maximal cyclic subgroups: a subgroup
 contains an element iff it contains the cyclic subgroup it generates, so one
 point per maximal cyclic subgroup is enough and the optimum is unchanged.
+The points, their generators and sigma_c's candidates come from the table's
+census of its cyclic subgroups (`lattice._census`), the one the lattice
+takes its atoms from, so a table's cyclic subgroups are found once.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .groups import (
 from .iso import are_isomorphic, embeds, is_embedding, missing_order, spectrum_dominates
 from .lattice import (
     Subgroup,
+    _census,
     _maximal_orbits,
     _subgroup_table,
     all_proper_subgroups_cyclic,
@@ -64,38 +68,24 @@ class InvariantReport(
     __slots__ = ()
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _points(g: FiniteGroup) -> tuple[tuple[Subgroup, ...], dict[int, int], dict[int, int]]:
-    """The cover's points, `maximal_cyclic_subgroups(g)`; each generator of
-    a point keyed to the point's index; and one generator per point, in
-    point order, keyed to the point's bit.  Keyed by table, so the sigma,
-    sigma_c and IC instances of a group share them; the dicts are not to
-    be changed."""
-    points, order = tuple(maximal_cyclic_subgroups(g)), g.elem_order
-    index = {}
-    bit = {}
-    for j, pt in enumerate(points):
-        gens = [x for x in _bits(pt.mask) if order[x] == pt.order]
-        for x in gens:
-            index[x] = j
-        bit[gens[0]] = 1 << j
-    return points, index, bit
-
-
 def _solve(kind, g, target, candidates, entry, node_budget, automorphisms=()):
     """Least cover of the points by the candidates; `entry` makes the
     CertEntry of a candidate, and is called for the certificate's members
     only.  A subgroup contains the point <x> exactly when it holds x, so a
-    candidate's points are the bits of its mask at one generator per point.
-    Each of the `automorphisms` of G maps a generator of a point to one of
-    the image point, and permutes the candidates too, so they go along as
-    the symmetries that prune the cover search."""
-    _, index, bit = _points(g)
-    generators = sum(1 << x for x in bit)
+    candidate's points are the bits of its mask at each point's least
+    generator, both read from the census.  Each of the `automorphisms` of
+    G maps that generator to one of the image point, whose index the census
+    gives, and permutes the candidates too, so they go along as the
+    symmetries that prune the cover search.  Work in proportion to the
+    points and the candidates' bits, none in proportion to |G|."""
+    _, generator, of, top = _census(g)
+    point = {i: j for j, i in enumerate(top)}  # census index -> point index
+    gens = [generator[i] for i in top]
+    generators = sum(1 << x for x in gens)
     inst = make_instance(
-        len(bit),
-        [sum(map(bit.__getitem__, _bits(c.mask & generators))) for c in candidates],
-        [tuple(map(index.__getitem__, map(phi.__getitem__, bit))) for phi in automorphisms],
+        len(gens),
+        [sum(1 << point[of[x]] for x in _bits(c.mask & generators)) for c in candidates],
+        [tuple(point[of[phi[x]]] for x in gens) for phi in automorphisms],
     )
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:
@@ -125,7 +115,7 @@ def sigma_c(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> Invariant
     holds one point, so greedy meets the counting bound."""
     if g.is_cyclic:
         return InvariantReport("sigma_c", g, None, INFINITE, None, "G_cyclic")
-    return _solve("sigma_c", g, None, _points(g)[0], CertEntry, node_budget)
+    return _solve("sigma_c", g, None, maximal_cyclic_subgroups(g), CertEntry, node_budget)
 
 
 def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:

@@ -53,8 +53,11 @@ orbit is in the family but not maximal; any other is asked once, and if
 it is admitted, its whole orbit is maximal.  The walk decides two
 families: the lattice's one stratum, the maximal proper subgroups, and
 `ic`'s candidates, the maximal proper subgroups that embed in the target.
-The maximal cyclic subgroups need no lattice: `maximal_cyclic_subgroups`
-filters `cyclic_subgroups` by inclusion.
+The cyclic subgroups need no lattice: one cached census per table
+(`_census`) finds them all, with their least generators, the subgroup
+each element generates and the maximal ones.  The lattice's atoms, every
+cover instance's points and sigma_c's candidates all read it, and
+`cyclic_subgroups` returns its tuple.
 """
 
 from __future__ import annotations
@@ -159,18 +162,36 @@ def closure(g: FiniteGroup, seed) -> Subgroup:
     return make_subgroup(g, members)
 
 
-def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """All <x> for x in G, duplicate-free, in canonical order."""
-    by_mask: dict[int, Subgroup] = {}
-    for a in range(g.order):
-        mask = 1
-        x = a
-        while x != 0:
-            mask |= 1 << x
-            x = g.table[x][a]
-        if mask not in by_mask:
-            by_mask[mask] = Subgroup(mask, g.elem_order[a], g.order, True)
-    return sorted(by_mask.values(), key=Subgroup.sort_key)
+@lru_cache(maxsize=CACHE_SIZE)
+def _census(g: FiniteGroup) -> tuple:
+    """The cyclic subgroups of G, found here alone and keyed by table: every
+    <x> in canonical order, the least generator of each, the index of <x>
+    for each element x, and the indices of the maximal ones (`_maximal`).
+    Each element a not met before, ascending, walks its powers and marks
+    those of order ord(a), the other generators of <a>."""
+    table, order, n = g.table, g.elem_order, g.order
+    least = [0] + [-1] * (n - 1)  # each element's least generator of <x>
+    walked = [(1, 1, 0)]  # (order, mask, least generator) of each <a>
+    for a in range(1, n):
+        if least[a] < 0:
+            mask, x, k = 1, a, order[a]
+            while x:
+                mask |= 1 << x
+                if order[x] == k:
+                    least[x] = a
+                x = table[x][a]
+            walked.append((k, mask, a))
+    walked.sort()
+    index = {a: i for i, (*_, a) in enumerate(walked)}
+    cyclics = tuple(Subgroup(mask, k, n, True) for k, mask, _ in walked)
+    top = tuple(_maximal([c.mask for c in cyclics]))
+    return cyclics, tuple(a for *_, a in walked), tuple(map(index.__getitem__, least)), top
+
+
+def cyclic_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
+    """All <x> for x in G, duplicate-free, in canonical order: the census's
+    tuple (see `_census`)."""
+    return _census(g)[0]
 
 
 def maximal_filter(subgroups) -> list[Subgroup]:
@@ -183,7 +204,8 @@ def maximal_filter(subgroups) -> list[Subgroup]:
 def maximal_cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """The maximal cyclic subgroups of G, in canonical order, without the
     lattice: the points of every cover instance and sigma_c's candidates."""
-    return maximal_filter(cyclic_subgroups(g))
+    cyclics, _, _, top = _census(g)
+    return [cyclics[i] for i in top]
 
 
 def _maximal_orbits(ordered, orbit, joins, admissible) -> list[Subgroup]:
@@ -349,12 +371,8 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     """
     table = g.table
     n = g.order
-    cyclics = cyclic_subgroups(g)
-    atoms = [
-        (c.mask, next(a for a in _bits(c.mask) if g.elem_order[a] == c.order))
-        for c in cyclics
-        if c.order > 1
-    ]
+    cyclics, generator, of, _ = _census(g)
+    atoms = [(c.mask, a) for c, a in zip(cyclics, generator) if c.order > 1]
     full_mask = (1 << n) - 1
     # for each proper divisor d of |G|, the largest proper divisor of |G|
     # that d divides: the early-exit bound of `_join` for |S| = d
@@ -405,7 +423,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     joins: dict[int, set[int]] = {}  # representative's mask -> the masks of its joins
     # the generators of the atoms not normal in G: only their classes under
     # conjugation by a subgroup hold more than one atom, and abelian G has
-    # none; and, where there are some, each element's atom by its generator
+    # none
     moving = 0
     if not _commute(table, split):
         for b in split:
@@ -413,15 +431,6 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
             for cmask, c in atoms:
                 if not cmask >> table[row[c]][b_inv] & 1:
                     moving |= 1 << c
-    if moving:
-        order = g.elem_order
-        atom_of = [0] * n
-        for _, c in atoms:
-            x = c
-            while x:
-                if order[x] == order[c]:
-                    atom_of[x] = c
-                x = table[x][c]
     while frontier:
         fresh: list[Subgroup] = []
         for s in frontier:
@@ -446,7 +455,7 @@ def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
                     queue = [c]
                     for x in queue:
                         for t in sgens:
-                            y = atom_of[table[table[t][x]][inverse[t]]]
+                            y = generator[of[table[table[t][x]][inverse[t]]]]
                             if not settled >> y & 1:
                                 settled |= 1 << y
                                 queue.append(y)

@@ -678,6 +678,25 @@ def test_maximal_cyclic_subgroups_match_the_pth_power_rule():
     assert len(maximal_cyclic_subgroups(groups[-1])) == 255
 
 
+def test_census_matches_the_closure_of_each_element():
+    """The census against `closure` of each element alone: the subgroups
+    are in canonical order, x's subgroup has the mask of closure(g, [x]),
+    each recorded generator is the least element with that closure, and
+    the maximal indices are the filter's."""
+    groups = [e.group for e in corpus(48)]
+    groups += [build(S5), build(S6, max_order=HARD_MAX_ORDER)]
+    groups += [build(Product((Cyclic(2),) * 7))]
+    for g in groups:
+        cyclics, generator, of, top = lattice._census(g)
+        masks = [closure(g, [x]).mask for x in range(g.order)]
+        assert list(cyclics) == sorted(cyclics, key=Subgroup.sort_key), g.label
+        assert [cyclics[i].mask for i in of] == masks, g.label
+        assert generator == tuple(masks.index(c.mask) for c in cyclics), g.label
+        assert [cyclics[i] for i in top] == maximal_filter(cyclic_subgroups(g)), g.label
+        first = cyclic_subgroups(g)
+        assert type(first) is tuple and first == cyclics == cyclic_subgroups(g), g.label
+
+
 def test_maximal_strata():
     c12 = all_subgroups(build(Cyclic(12)))
     assert sorted(s.order for s in c12.maximal_subgroups) == [4, 6]

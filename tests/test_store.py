@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from grpinv import groups, iso, lattice
+from grpinv import groups, invariants, iso, lattice
 from grpinv.corpus import corpus, run_suites
 from grpinv.groups import (
     CACHE_SIZE,
@@ -19,6 +19,7 @@ from grpinv.groups import (
     build,
     direct_product,
 )
+from grpinv.invariants import ic, sigma, sigma_c
 from grpinv.iso import embeds
 from grpinv.lattice import all_subgroups, as_group
 
@@ -46,6 +47,40 @@ def test_each_distinct_table_is_validated_once(monkeypatch):
     assert report.certificates_checked and not report.certificate_failures
     assert set(validated.values()) == {1}
     assert finalized > len(validated)
+
+
+S4 = build(PermGroup((((1, 2, 3, 4),), ((1, 2),))))
+D24 = build(Dihedral(24))
+C2C2C4C4 = build(Product((Cyclic(2), Cyclic(2), Cyclic(4), Cyclic(4))))
+C4C4 = build(Product((Cyclic(4), Cyclic(4))))
+
+
+@pytest.mark.parametrize(
+    "run,tables",
+    [
+        (lambda: (sigma(S4), all_subgroups(S4)), 1),
+        (lambda: (sigma_c(D24), all_subgroups(D24)), 1),
+        (lambda: ic(C2C2C4C4, C4C4), 1),
+        (lambda: run_suites(max_order=16), None),
+    ],
+    ids=["sigma S4", "sigma_c D24", "ic C2^2xC4^2 C4^2", "run_suites 16"],
+)
+def test_each_table_is_censused_once(monkeypatch, run, tables):
+    """The lattice's atoms, the cover's points and sigma_c's candidates all
+    read one census per table: it is asked more often than it walks, and
+    walks once per distinct table asked about."""
+    asked = []
+    real = lattice._census
+
+    def census(g):
+        asked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(lattice, "_census", census)
+    monkeypatch.setattr(invariants, "_census", census)
+    run()
+    assert real.cache_info().misses == len(set(asked)) < len(asked)
+    assert tables in (None, len(set(asked)))
 
 
 def test_equal_tables_make_equal_groups_with_their_own_labels():
