@@ -184,9 +184,7 @@ def _value_text(report: InvariantReport) -> str:
         return str(report.value.value)
     if report.infiniteness_reason == "G_cyclic":
         return "infinite (cyclic group)"
-    if report.infiniteness_reason == "spectrum_gap":
-        return f"infinite (spectrum gap: order {report.missing_order})"
-    return "infinite (no cover)"
+    return f"infinite (spectrum gap: order {report.missing_order})"
 
 
 def _certificate_json(report: InvariantReport) -> list[dict]:

@@ -1,12 +1,15 @@
-"""The three invariants by reduction to exact set cover, with certificates,
-plus the inequality checkers the verify sweep replays.
+"""The three invariants, with certificates, plus the inequality checkers
+the verify sweep replays.  sigma and IC are searched: each is reduced to an
+exact set-cover instance.  sigma_c is counted: it is the number of maximal
+cyclic subgroups.
 
 The cover universe is always the set of maximal cyclic subgroups: a subgroup
 contains an element iff it contains the cyclic subgroup it generates, so one
 point per maximal cyclic subgroup is enough and the optimum is unchanged.
-The points, their generators and sigma_c's candidates come from the table's
-census of its cyclic subgroups (`lattice._census`), the one the lattice
-takes its atoms from, so a table's cyclic subgroups are found once.
+The points and their generators, and sigma_c's value and certificate, come
+from the table's census of its cyclic subgroups (`lattice._census`), the one
+the lattice takes its atoms from, so a table's cyclic subgroups are found
+once.
 """
 
 from __future__ import annotations
@@ -62,22 +65,24 @@ class InvariantReport(
 ):
     """kind is "sigma", "sigma_c" or "ic"; target is None unless kind is
     "ic"; certificate is a tuple of CertEntry, or None when the value is
-    infinite; infiniteness_reason is "G_cyclic", "spectrum_gap" or
-    "no_cover"."""
+    infinite; infiniteness_reason is "G_cyclic" or "spectrum_gap"."""
 
     __slots__ = ()
 
 
-def _solve(kind, g, target, candidates, entry, node_budget, automorphisms=()):
-    """Least cover of the points by the candidates; `entry` makes the
-    CertEntry of a candidate, and is called for the certificate's members
-    only.  A subgroup contains the point <x> exactly when it holds x, so a
-    candidate's points are the bits of its mask at each point's least
-    generator, both read from the census.  Each of the `automorphisms` of
-    G maps that generator to one of the image point, whose index the census
-    gives, and permutes the candidates too, so they go along as the
-    symmetries that prune the cover search.  Work in proportion to the
-    points and the candidates' bits, none in proportion to |G|."""
+def _solve(kind, g, target, candidates, entry, node_budget, automorphisms):
+    """Least cover of the points by the candidates, for sigma and IC; `entry`
+    makes the CertEntry of a candidate, and is called for the certificate's
+    members only.  A subgroup contains the point <x> exactly when it holds
+    x, so a candidate's points are the bits of its mask at each point's
+    least generator, both read from the census.  Each of the
+    `automorphisms` of G maps that generator to one of the image point,
+    whose index the census gives, and permutes the candidates too, so they
+    go along as the symmetries that prune the cover search.  Work in proportion to the
+    points and the candidates' bits, none in proportion to |G|.  The
+    candidates always cover the points: sigma's are the maximal subgroups
+    of a noncyclic G, and IC searches only past the spectrum check, so
+    each point lies in a maximal subgroup that embeds."""
     _, generator, of, top = _census(g)
     point = {i: j for j, i in enumerate(top)}  # census index -> point index
     gens = [generator[i] for i in top]
@@ -89,7 +94,7 @@ def _solve(kind, g, target, candidates, entry, node_budget, automorphisms=()):
     )
     sol = min_cover(inst, node_budget)
     if not sol.value.is_finite:
-        return InvariantReport(kind, g, target, INFINITE, None, "no_cover")
+        raise CheckFailed(f"{kind} candidates of {g.label} do not cover it")
     if not validate_cover(inst, sol):
         raise CheckFailed(f"{kind} cover of {g.label} failed re-validation")
     cert = tuple(entry(candidates[inst.kept[i]]) for i in sol.certificate)
@@ -111,11 +116,23 @@ def sigma(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantRe
 
 def sigma_c(g: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Cyclic covering number: least cover of G by proper cyclic subgroups.
-    The candidates are the points, with no lattice and no symmetry: each
-    holds one point, so greedy meets the counting bound."""
+
+    Counted, not searched: for noncyclic G, a cyclic subgroup that holds a
+    generator of a maximal cyclic subgroup M contains M, so it is M.  So
+    every cyclic cover holds every maximal cyclic subgroup, and together
+    they cover G: sigma_c is their number, and the least certificate is all
+    of them in canonical order, read off the census.  `node_budget` bounds
+    nothing; it is taken so that all three invariants are called alike.
+    """
     if g.is_cyclic:
         return InvariantReport("sigma_c", g, None, INFINITE, None, "G_cyclic")
-    return _solve("sigma_c", g, None, maximal_cyclic_subgroups(g), CertEntry, node_budget)
+    m = maximal_cyclic_subgroups(g)
+    union = 0
+    for s in m:
+        union |= s.mask
+    if union != (1 << g.order) - 1:
+        raise CheckFailed(f"the maximal cyclic subgroups of {g.label} do not cover it")
+    return InvariantReport("sigma_c", g, None, finite(len(m)), tuple(CertEntry(s) for s in m))
 
 
 def ic(g: FiniteGroup, h: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:

@@ -14,7 +14,7 @@ from grpinv.corpus import corpus
 from grpinv.cover import CoverSolution, make_instance, min_cover, validate_cover
 from grpinv.errors import BudgetExceeded, CheckFailed
 from grpinv.groups import INFINITE, Cyclic, Product, build, finite
-from grpinv.invariants import ic, sigma, sigma_c
+from grpinv.invariants import ic, sigma
 
 
 def point_masks(sets):
@@ -551,12 +551,11 @@ COVER_PAIRS = (
 
 @pytest.fixture(scope="module")
 def automorphism_instances():
-    """The instances of sigma, sigma_c and IC over corpus(12), and of the
-    `cover` benchmark's pairs, with the automorphisms as symmetries (none
-    for sigma_c, whose candidates are its points)."""
+    """The instances of sigma and IC over corpus(12), and of the `cover`
+    benchmark's pairs, with the automorphisms as symmetries (sigma_c is
+    counted and builds none)."""
     groups = [e.group for e in corpus(12)]
     queries = [lambda g=g: sigma(g) for g in groups]
-    queries += [lambda g=g: sigma_c(g) for g in groups]
     queries += [lambda g=g, h=h: ic(g, h) for g in groups for h in groups]
     queries += [
         lambda a=a, b=b: ic(build(parse_spec(a)), build(parse_spec(b))) for a, b in COVER_PAIRS

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from grpinv import invariants, lattice
 from grpinv.cli import main, parse_spec
 from grpinv.corpus import corpus
-from grpinv.errors import BudgetExceeded, InvalidPartition
+from grpinv.cover import DEFAULT_NODE_BUDGET
+from grpinv.errors import BudgetExceeded, CheckFailed, InvalidPartition
 from grpinv.groups import (
     HARD_MAX_ORDER,
     INFINITE,
@@ -127,17 +128,57 @@ def test_sigma_c_equals_maximal_cyclic_count():
         assert sigma_c(g).value == finite(len(maximal_cyclic_subgroups(g))), g.label
 
 
+S6 = build(PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),))), max_order=HARD_MAX_ORDER)
+
+
 @pytest.mark.usefixtures("fresh_caches")
 def test_sigma_c_builds_no_subgroup_lattice(capsys):
-    # the points and sigma_c's candidates come from the cyclic subgroups
+    # the points and sigma_c's count come from the cyclic subgroups
     groups = [e.group for e in corpus(32)]
-    groups.append(build(PermGroup((((1, 2, 3, 4, 5, 6),), ((1, 2),))), max_order=HARD_MAX_ORDER))
+    groups.append(S6)
     for g in groups:
         report = sigma_c(g)
         assert g.is_cyclic or certificate_sound(report), g.label
     assert main(["lattice", "Q8", "--cyclic", "--maximal"]) == 0
     assert capsys.readouterr().out.count("\n") == 3
     assert all_subgroups.cache_info().misses == 0
+
+
+def test_sigma_c_agrees_with_the_cover_search():
+    # sigma_c counts the maximal cyclic subgroups; the search over them as
+    # candidates must find the same value and least certificate
+    groups = [e.group for e in corpus(64)]
+    groups += [S6, build(parse_spec("C2^7")), build(parse_spec("D4xD4xC2"))]
+    for g in groups:
+        report = sigma_c(g)
+        if g.is_cyclic:
+            assert report.infiniteness_reason == "G_cyclic", g.label
+            continue
+        searched = invariants._solve(
+            "sigma_c", g, None, maximal_cyclic_subgroups(g), CertEntry, DEFAULT_NODE_BUDGET, ()
+        )
+        want = (searched.value, searched.certificate)
+        assert (report.value, report.certificate) == want, g.label
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_sigma_c_runs_no_cover_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sigma_c searched")
+
+    monkeypatch.setattr(invariants, "make_instance", refuse)
+    monkeypatch.setattr(invariants, "min_cover", refuse)
+    for g, value in ((build(parse_spec("C2^8"), 256), 255), (S6, 246)):
+        report = sigma_c(g, node_budget=1)
+        assert report.value == finite(value) and certificate_sound(report), g.label
+
+
+def test_sigma_c_gates_its_certificate(monkeypatch):
+    # a certificate that misses a maximal cyclic subgroup does not cover G
+    real = lattice.maximal_cyclic_subgroups
+    monkeypatch.setattr(invariants, "maximal_cyclic_subgroups", lambda g: real(g)[1:])
+    with pytest.raises(CheckFailed):
+        sigma_c(build(parse_spec("C2^3")))
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -455,7 +496,7 @@ def test_point_sets_match_the_containment_test(monkeypatch):
     calls = []
     real_solve, real_make_instance = invariants._solve, invariants.make_instance
 
-    def solve(kind, g, target, candidates, entry, node_budget, automorphisms=()):
+    def solve(kind, g, target, candidates, entry, node_budget, automorphisms):
         calls.append((g, candidates, automorphisms))
         return real_solve(kind, g, target, candidates, entry, node_budget, automorphisms)
 
@@ -479,12 +520,10 @@ def test_point_sets_match_the_containment_test(monkeypatch):
     for spec in POINT_SET_GROUPS:
         g = build(parse_spec(spec))
         sigma(g)
-        sigma_c(g)
-        # sigma's instance has the lattice's automorphisms, sigma_c's none
-        assert calls[-2][2] == all_subgroups(g).automorphisms and calls[-1][2] == ()
+        assert calls[-1][2] == all_subgroups(g).automorphisms
     for gspec, hspec in POINT_SET_IC_PAIRS:
         ic(build(parse_spec(gspec)), build(parse_spec(hspec)))
-    assert len(calls) == 2 * len(POINT_SET_GROUPS) + len(POINT_SET_IC_PAIRS)
+    assert len(calls) == len(POINT_SET_GROUPS) + len(POINT_SET_IC_PAIRS)
     assert all(automorphisms for _, _, automorphisms in calls[-len(POINT_SET_IC_PAIRS):])
 
 
@@ -531,6 +570,21 @@ def test_ic_candidates_match_the_reference_pass(monkeypatch):
         witness = {s: ws for s, ws in reference}
         for e in report.certificate:
             assert e.embedding == witness[e.subgroup], gspec
+
+
+def test_an_infeasible_cover_instance_fails_the_check(monkeypatch):
+    # ic's candidates always cover the points past the spectrum check; if
+    # they did not, the answer would be a bug, never an infinite value
+    real = invariants._maximal_orbits
+    g, h = build(parse_spec("C2^3")), build(parse_spec("C2^2"))
+    point = maximal_cyclic_subgroups(g)[0]
+
+    def short(*args):
+        return [s for s in real(*args) if not s.contains(point)]
+
+    monkeypatch.setattr(invariants, "_maximal_orbits", short)
+    with pytest.raises(CheckFailed):
+        ic(g, h)
 
 
 def test_ic_candidates_match_the_maximal_filter(monkeypatch):

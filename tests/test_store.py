@@ -66,7 +66,7 @@ C4C4 = build(Product((Cyclic(4), Cyclic(4))))
     ids=["sigma S4", "sigma_c D24", "ic C2^2xC4^2 C4^2", "run_suites 16"],
 )
 def test_each_table_is_censused_once(monkeypatch, run, tables):
-    """The lattice's atoms, the cover's points and sigma_c's candidates all
+    """The lattice's atoms, the cover's points and sigma_c's count all
     read one census per table: it is asked more often than it walks, and
     walks once per distinct table asked about."""
     asked = []
